@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, CheckFailedError
 from .homology import QQ, Field, char_independence_report
 from .ideals import SquarefreeIdeal
 from .pd import pd_line_closed_form, pd_quotient_hochster
@@ -104,7 +104,7 @@ def line_ideal(n: int, t: int = 3) -> SquarefreeIdeal:
 def construct_partition_t3(n: int) -> SVPartition:
     """The explicit partition for the path ideal of three-vertex paths on
     the line graph, defined for n >= 3 with n != 2 (mod 4).  The part count
-    equals pd(R/I) and validity is asserted."""
+    equals pd(R/I) and validity is checked."""
     if n < 3:
         raise ValueError("need n >= 3")
     if n % 4 == 2:
@@ -133,7 +133,8 @@ def construct_partition_t3(n: int) -> SVPartition:
 
     partition = SVPartition(tuple(parts))
     ok, violation = verify_sv_conditions(partition, line_ideal(n, 3))
-    assert ok, f"constructed partition is invalid: {violation}"
+    if not ok:
+        raise CheckFailedError(f"constructed partition is invalid: {violation}")
     return partition
 
 

@@ -2,14 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure (a check answered "no" or a
 cross-method comparison failed), 2 usage or input errors (missing file,
-malformed tree, exceeded bound).
+malformed tree, exceeded bound), 3 internal error (the program hit a limit
+such as Python's recursion depth; the answer is unknown, not "no").
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from . import ara as ara_mod
 from .errors import BoundExceededError
@@ -28,25 +28,6 @@ from .trees import TreeError, enumerate_paths, parse_tree, path_ideal
 from .verify import run_verification
 
 
-@dataclass
-class RunConfig:
-    command: str
-    tree_file: str | None = None
-    t: int = 2
-    fields: tuple = (QQ,)
-    method: str = "auto"
-    verify: bool = False
-    subject: str = "quotient"
-    output_format: str = "text"
-    seed: int = 101
-    samples: int = 10
-    max_n: int | None = None
-    search: bool = False
-    construct_t3: bool = False
-    point_check: bool = False
-    extra: dict = dc_field(default_factory=dict)
-
-
 def _parse_field(text: str) -> Field:
     if text.lower() in ("q", "0", "qq"):
         return QQ
@@ -58,8 +39,8 @@ def _load_tree(path: str):
         return parse_tree(fh.read())
 
 
-def _emit(data: dict, config: RunConfig) -> None:
-    if config.output_format == "json":
+def _emit(data: dict, args: argparse.Namespace) -> None:
+    if args.format == "json":
         print(json.dumps(data, sort_keys=True, default=str))
     else:
         for key, value in data.items():
@@ -70,8 +51,8 @@ def _monomial_text(path: tuple) -> str:
     return "".join(f"x_{v}" for v in path)
 
 
-def cmd_tree_parse(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
+def cmd_tree_parse(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
     leaves = sorted(tree.leaves()) if tree.n >= 2 else []
     _emit(
         {
@@ -81,29 +62,29 @@ def cmd_tree_parse(config: RunConfig) -> int:
             "leaves": leaves,
             "edges": list(tree.edges()),
         },
-        config,
+        args,
     )
     return 0
 
 
-def cmd_tree_paths(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
-    paths = enumerate_paths(tree, config.t)
-    if config.output_format == "json":
-        print(json.dumps({"t": config.t, "paths": [list(p) for p in paths]}, sort_keys=True))
+def cmd_tree_paths(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
+    paths = enumerate_paths(tree, args.t)
+    if args.format == "json":
+        print(json.dumps({"t": args.t, "paths": [list(p) for p in paths]}, sort_keys=True))
     else:
         for p in paths:
             print(" ".join(map(str, p)))
     return 0
 
 
-def cmd_ideal_gens(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
-    paths = enumerate_paths(tree, config.t)
-    ideal = path_ideal(tree, config.t)
-    if config.output_format == "json":
+def cmd_ideal_gens(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
+    paths = enumerate_paths(tree, args.t)
+    ideal = path_ideal(tree, args.t)
+    if args.format == "json":
         print(ideal_to_json(ideal))
-    elif config.output_format == "macaulay2":
+    elif args.format == "macaulay2":
         if not paths:
             print("ideal(0)")
         else:
@@ -116,13 +97,13 @@ def cmd_ideal_gens(config: RunConfig) -> int:
     return 0
 
 
-def cmd_betti(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
-    ideal = path_ideal(tree, config.t)
-    table = betti_table_hochster(ideal, config.fields[0], config.max_n)
-    if config.subject == "quotient":
+def cmd_betti(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
+    ideal = path_ideal(tree, args.t)
+    table = betti_table_hochster(ideal, args.field, args.max_n)
+    if args.subject == "quotient":
         table = table.as_quotient()
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps(table.to_jsonable(), sort_keys=True))
     else:
         print(f"subject: {table.subject}   field: {table.field}")
@@ -131,15 +112,15 @@ def cmd_betti(config: RunConfig) -> int:
     return 0
 
 
-def cmd_pd(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
+def cmd_pd(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
     report = pd_auto(
         tree,
-        config.t,
-        field=config.fields[0],
-        method=config.method,
-        verify=config.verify,
-        max_n=config.max_n,
+        args.t,
+        field=args.field,
+        method=args.method,
+        verify=args.verify,
+        max_n=args.max_n,
     )
     data = {
         "pd_quotient": report.value,
@@ -157,47 +138,43 @@ def cmd_pd(config: RunConfig) -> int:
             }
             for s in report.trace
         ]
-    _emit(data, config)
+    _emit(data, args)
     return 0
 
 
-def cmd_check(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
-    kind = config.extra["check"]
+def cmd_check(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
+    kind = args.subcommand
     if kind == "simplicial-tree":
-        ok, witness = is_simplicial_tree(facet_complex(path_ideal(tree, config.t)))
+        ok, witness = is_simplicial_tree(facet_complex(path_ideal(tree, args.t)))
         detail = {"witness": [sorted(f) for f in witness] if witness else None}
     elif kind == "properly-connected":
-        ok, pair = is_properly_connected(facet_complex(path_ideal(tree, config.t)))
+        ok, pair = is_properly_connected(facet_complex(path_ideal(tree, args.t)))
         detail = {"violating_pair": [sorted(f) for f in pair] if pair else None}
     elif kind == "scm":
-        ok = all(is_sequentially_cm(path_ideal(tree, config.t), f) for f in config.fields)
-        detail = {"fields": [str(f) for f in config.fields]}
+        ok = is_sequentially_cm(path_ideal(tree, args.t), args.field)
+        detail = {"fields": [str(args.field)]}
     elif kind == "char-independence":
-        ok, diffs = char_independence_report(path_ideal(tree, config.t), max_n=config.max_n)
+        ok, diffs = char_independence_report(path_ideal(tree, args.t), max_n=args.max_n)
         detail = {"differences": [list(map(str, d)) for d in diffs]}
     else:
         raise ValueError(f"unknown check {kind!r}")
-    _emit({"check": kind, "result": bool(ok), **detail}, config)
+    _emit({"check": kind, "result": bool(ok), **detail}, args)
     return 0 if ok else 1
 
 
-def cmd_ara(config: RunConfig) -> int:
-    tree = _load_tree(config.tree_file)
-    ideal = path_ideal(tree, config.t)
-    if config.construct_t3:
+def cmd_ara(args: argparse.Namespace) -> int:
+    tree = _load_tree(args.tree_file)
+    ideal = path_ideal(tree, args.t)
+    if args.construct_t3:
         line = ara_mod.recognize_line_ideal(ideal)
         if not line or line[0] != 3:
             print("the explicit construction needs the path ideal of a line graph with t=3", file=sys.stderr)
             return 2
         partition = ara_mod.construct_partition_t3(line[1])
-        _emit({"partition": partition.sorted_parts()}, config)
+        _emit({"partition": partition.sorted_parts()}, args)
         return 0
-    bounds = ara_mod.ara_bounds(ideal, max_n=config.max_n)
-    if config.search and not bounds.exact and not ideal.is_zero:
-        found = ara_mod.good_partition_search(ideal, bounds.lower)
-        if found is not None:
-            bounds = ara_mod.AraBounds(bounds.lower, bounds.lower, True, found, "found by search")
+    bounds = ara_mod.ara_bounds(ideal, max_n=args.max_n)
     data = {
         "lower": bounds.lower,
         "upper": bounds.upper,
@@ -205,7 +182,7 @@ def cmd_ara(config: RunConfig) -> int:
         "note": bounds.note,
         "partition": bounds.partition.sorted_parts() if bounds.partition else None,
     }
-    if config.point_check and bounds.partition is not None and not ideal.is_zero:
+    if args.point_check and bounds.partition is not None and not ideal.is_zero:
         witnesses = ara_mod.sv_witnesses(bounds.partition, ideal)
         data["witnesses"] = [
             ["*".join(f"x_{v}" for v in sorted(m)) + (f"^{e}" if e > 1 else "") for m, e in w.terms]
@@ -213,20 +190,20 @@ def cmd_ara(config: RunConfig) -> int:
         ]
         data["point_check"] = ara_mod.radical_point_check(witnesses, ideal)
         if not data["point_check"]:
-            _emit(data, config)
+            _emit(data, args)
             return 1
-    _emit(data, config)
+    _emit(data, args)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(
-        samples=config.samples,
-        seed=config.seed,
-        max_n=config.max_n if config.max_n is not None else 9,
+        samples=args.samples,
+        seed=args.seed,
+        max_n=args.max_n if args.max_n is not None else 9,
     )
     failed = [r for r in results if not r.passed]
-    if config.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 [{"check": r.name, "passed": r.passed, "detail": r.detail} for r in results],
@@ -245,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathideal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tree_file=True, wants_t=True):
-        if tree_file:
-            p.add_argument("tree_file")
+    def common(p, func, wants_t=True):
+        p.set_defaults(func=func)
+        p.add_argument("tree_file")
         if wants_t:
             p.add_argument("-t", type=int, default=2, help="number of vertices per path")
         p.add_argument("--format", choices=("text", "json", "macaulay2"), default="text")
@@ -256,84 +233,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     tree_p = sub.add_parser("tree", help="parse trees and list paths")
     tree_sub = tree_p.add_subparsers(dest="subcommand", required=True)
-    common(tree_sub.add_parser("parse"), wants_t=False)
-    common(tree_sub.add_parser("paths"))
+    common(tree_sub.add_parser("parse"), cmd_tree_parse, wants_t=False)
+    common(tree_sub.add_parser("paths"), cmd_tree_paths)
 
     ideal_p = sub.add_parser("ideal", help="path ideal generators")
     ideal_sub = ideal_p.add_subparsers(dest="subcommand", required=True)
-    common(ideal_sub.add_parser("gens"))
+    common(ideal_sub.add_parser("gens"), cmd_ideal_gens)
 
     betti_p = sub.add_parser("betti", help="graded Betti table via Hochster's formula")
-    common(betti_p)
+    common(betti_p, cmd_betti)
     betti_p.add_argument("--subject", choices=("ideal", "quotient"), default="quotient")
 
     pd_p = sub.add_parser("pd", help="projective dimension of the quotient")
-    common(pd_p)
+    common(pd_p, cmd_pd)
     pd_p.add_argument("--method", choices=("auto", "closed-form", "recursion", "hochster"), default="auto")
     pd_p.add_argument("--verify", action="store_true", help="run all applicable methods and compare")
 
     check_p = sub.add_parser("check", help="boolean structure checks")
     check_sub = check_p.add_subparsers(dest="subcommand", required=True)
     for kind in ("simplicial-tree", "properly-connected", "scm", "char-independence"):
-        common(check_sub.add_parser(kind))
+        common(check_sub.add_parser(kind), cmd_check)
 
     ara_p = sub.add_parser("ara", help="arithmetical rank bounds")
-    common(ara_p)
-    ara_p.add_argument("--search", action="store_true", help="run the good-partition search")
+    common(ara_p, cmd_ara)
+    ara_p.add_argument(
+        "--search",
+        action="store_true",
+        help="accepted for compatibility: the good-partition search always runs"
+        f" for ideals with at most {ara_mod.DEFAULT_SEARCH_MAX_GENS} generators",
+    )
     ara_p.add_argument("--construct-t3", action="store_true", help="print the explicit t=3 partition")
     ara_p.add_argument("--point-check", action="store_true", help="scan 0/1 points against the witnesses")
 
     verify_p = sub.add_parser("verify", help="run the verification suite")
+    verify_p.set_defaults(func=cmd_verify)
     verify_p.add_argument("--samples", type=int, default=10)
     verify_p.add_argument("--seed", type=int, default=101)
     verify_p.add_argument("--max-n", type=int, default=None)
     verify_p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    if getattr(args, "subcommand", None):
-        command = f"{args.command} {args.subcommand}"
-    fields = (_parse_field(args.field),) if hasattr(args, "field") else (QQ,)
-    return RunConfig(
-        command=command,
-        tree_file=getattr(args, "tree_file", None),
-        t=getattr(args, "t", 2),
-        fields=fields,
-        method=getattr(args, "method", "auto"),
-        verify=getattr(args, "verify", False),
-        subject=getattr(args, "subject", "quotient"),
-        output_format=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 101),
-        samples=getattr(args, "samples", 10),
-        max_n=getattr(args, "max_n", None),
-        search=getattr(args, "search", False),
-        construct_t3=getattr(args, "construct_t3", False),
-        point_check=getattr(args, "point_check", False),
-        extra={"check": getattr(args, "subcommand", None)} if args.command == "check" else {},
-    )
-
-
-_HANDLERS = {
-    "tree parse": cmd_tree_parse,
-    "tree paths": cmd_tree_paths,
-    "ideal gens": cmd_ideal_gens,
-    "betti": cmd_betti,
-    "pd": cmd_pd,
-    "check simplicial-tree": cmd_check,
-    "check properly-connected": cmd_check,
-    "check scm": cmd_check,
-    "check char-independence": cmd_check,
-    "ara": cmd_ara,
-    "verify": cmd_verify,
-}
-
-
-def run(config: RunConfig) -> int:
-    handler = _HANDLERS[config.command]
-    return handler(config)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -343,10 +282,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return run(config_from_args(args))
+        if hasattr(args, "field"):
+            args.field = _parse_field(args.field)
+        return args.func(args)
     except (FileNotFoundError, TreeError, BoundExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -3,3 +3,7 @@
 
 class BoundExceededError(RuntimeError):
     """A configured size bound (vertex count, facet count, ...) was exceeded."""
+
+
+class CheckFailedError(RuntimeError):
+    """An internal exactness or validity check failed: a bug, not bad input."""

@@ -11,14 +11,17 @@ Conventions (they matter for the degenerate corners of Hochster's sum):
   Stanley-Reisner complex to Y), and the table of the quotient R/I is the
   ideal table shifted by one in homological degree with beta_{0,0} = 1.
 
-Every homology computation asserts that consecutive boundary maps compose
+Every homology computation checks that consecutive boundary maps compose
 to zero and that the Euler characteristic matches the alternating face
-count minus one.  All arithmetic is exact.
+count minus one, raising CheckFailedError otherwise (also under
+``python -O``).  All arithmetic is exact.
 
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
-order-independent; the module-level caches are keyed by canonical
-relabelings, so concurrent or repeated use only changes speed, never
-results.
+order-independent.  One module-level cache serves all of them: it is keyed
+by the kind of mask collection (generating faces or minimal non-faces), a
+canonical relabeling of the masks, and the field, and each entry is
+computed from its key alone, so concurrent or repeated use only changes
+speed, never results.
 """
 from __future__ import annotations
 
@@ -26,10 +29,10 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 from .bits import bit_index, iter_bits, submasks, to_mask
-from .errors import BoundExceededError
-from .ideals import SquarefreeIdeal
+from .errors import BoundExceededError, CheckFailedError
+from .ideals import SquarefreeIdeal, hypergraph_components
 from .linalg import sparse_rank
-from .simplicial import Complex, make_complex
+from .simplicial import Complex, is_pure, make_complex
 
 DEFAULT_HOCHSTER_MAX_N = 14
 DEFAULT_SR_MAX_N = 16
@@ -123,7 +126,8 @@ def _homology_from_faces(faces, p: int | None) -> dict[int, int]:
             for row_j, s in col:
                 for row_i, s2 in cols[k - 1][row_j]:
                     acc[row_i] = acc.get(row_i, 0) + s * s2
-            assert all(v == 0 for v in acc.values()), "boundary composed with boundary is nonzero"
+            if any(acc.values()):
+                raise CheckFailedError("boundary composed with boundary is nonzero")
         assertion_stats["boundary_squared"] += 1
 
     ranks = {k: 0 for k in range(top + 2)}
@@ -139,14 +143,22 @@ def _homology_from_faces(faces, p: int | None) -> dict[int, int]:
     for k in range(0, top + 1):
         dims[k] = counts[k] - ranks[k] - ranks[k + 1]
 
+    # dims come from the same counts and ranks, whose terms cancel in the
+    # alternating sum, so this cannot fail; it stays as a counted guard
+    # against a future change to how dims are derived
     euler_h = sum(_sign(k) * v for k, v in dims.items())
     euler_f = sum(_sign(k) * counts[k] for k in range(0, top + 1)) - 1
-    assert euler_h == euler_f, "Euler characteristic mismatch"
+    if euler_h != euler_f:
+        raise CheckFailedError("Euler characteristic mismatch")
     assertion_stats["euler"] += 1
     return {k: v for k, v in dims.items() if v}
 
 
-_face_homology_cache: dict = {}
+# (kind, canonical masks, p) -> reduced homology dims
+_homology_cache: dict = {}
+
+FACETS = "facets"  # the masks generate the complex
+NON_FACES = "non-faces"  # the masks are the minimal non-faces over their union
 
 
 def _canonical_faces(faces) -> tuple:
@@ -165,15 +177,6 @@ def _canonical_faces(faces) -> tuple:
     return tuple(min(forward, mirrored))
 
 
-def homology_dims_cached(faces, p: int | None) -> dict[int, int]:
-    key = (_canonical_faces(faces), p)
-    hit = _face_homology_cache.get(key)
-    if hit is None:
-        hit = _homology_from_faces(faces, p)
-        _face_homology_cache[key] = hit
-    return hit
-
-
 def _faces_from_facets(facet_masks) -> set[int]:
     faces: set[int] = set()
     for f in facet_masks:
@@ -181,9 +184,28 @@ def _faces_from_facets(facet_masks) -> set[int]:
     return faces
 
 
-def _complex_masks(cx: Complex) -> tuple[list[int], dict[int, int]]:
+def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
+    """Reduced homology of the complex described by canonical masks
+    (see _canonical_faces) of the given kind.  The faces are built from
+    the key itself on a miss, so an entry depends only on its key."""
+    key = (kind, canon, p)
+    hit = _homology_cache.get(key)
+    if hit is None:
+        if kind == FACETS:
+            faces = _faces_from_facets(canon)
+        else:
+            union = 0
+            for m in canon:
+                union |= m
+            faces = _enumerate_faces(union, canon)
+        hit = _homology_from_faces(faces, p)
+        _homology_cache[key] = hit
+    return hit
+
+
+def _complex_masks(cx: Complex) -> list[int]:
     idx = bit_index(cx.ambient)
-    return [to_mask(f, idx) for f in cx.sorted_facets()], idx
+    return [to_mask(f, idx) for f in cx.sorted_facets()]
 
 
 def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:
@@ -191,8 +213,7 @@ def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:
     given field.  The void complex gives all zeros."""
     if cx.is_void:
         return {}
-    masks, _ = _complex_masks(cx)
-    return dict(homology_dims_cached(_faces_from_facets(masks), field.p))
+    return dict(_cached_homology(FACETS, _canonical_faces(_complex_masks(cx)), field.p))
 
 
 def _enumerate_faces(universe_mask: int, gen_masks) -> set[int]:
@@ -293,31 +314,6 @@ def pd_from_betti(table: BettiTable) -> int:
     return max(i for i, _ in table.entries)
 
 
-_island_cache: dict = {}
-
-
-def _island_key(island_mask: int, island_gens) -> tuple:
-    pos = {b: i for i, b in enumerate(iter_bits(island_mask))}
-    remapped = frozenset(sum(1 << pos[b] for b in iter_bits(g)) for g in island_gens)
-    return (len(pos), remapped)
-
-
-def _merge_islands(gens_in: list[int]) -> list[tuple[int, list[int]]]:
-    islands: list[tuple[int, list[int]]] = []
-    for g in gens_in:
-        hits = [i for i, (mask, _) in enumerate(islands) if mask & g]
-        if not hits:
-            islands.append((g, [g]))
-        else:
-            mask, members = g, [g]
-            for i in hits:
-                mask |= islands[i][0]
-                members.extend(islands[i][1])
-            islands = [isl for i, isl in enumerate(islands) if i not in hits]
-            islands.append((mask, members))
-    return islands
-
-
 def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     """Reduced homology of a simplicial join over a field:
     H~_k(A * B) = sum over i + j = k - 1 of H~_i(A) (x) H~_j(B)."""
@@ -360,19 +356,11 @@ def betti_tables_hochster(
             covered |= g
         if covered != Y:
             continue
-        islands = _merge_islands(gens_in)
-        keys = [_island_key(mask, members) for mask, members in islands]
+        keys = [_canonical_faces(members) for _, members in hypergraph_components(gens_in)]
         for f in fields:
-            missing = [
-                (i, k) for i, k in enumerate(keys) if (k, f.p) not in _island_cache
-            ]
-            for i, k in missing:
-                mask, members = islands[i]
-                faces = _enumerate_faces(mask, members)
-                _island_cache[(k, f.p)] = _homology_from_faces(faces, f.p)
             dims = {-1: 1}
             for k in keys:
-                dims = _join_dims(dims, _island_cache[(k, f.p)])
+                dims = _join_dims(dims, _cached_homology(NON_FACES, k, f.p))
                 if not dims:
                     break
             j = Y.bit_count()
@@ -408,64 +396,6 @@ def char_independence_report(
     return (not diffs, diffs)
 
 
-def _reisner_cm(faces: set[int], p: int | None) -> bool:
-    """Reisner's criterion on a face set: for every face s (including the
-    empty one), H~_i(link(s)) = 0 for all i below the link dimension."""
-    if not faces:
-        return True
-    links: dict[int, list[int]] = {}
-    for tau in faces:
-        for sigma in submasks(tau):
-            links.setdefault(sigma, []).append(tau & ~sigma)
-    for sigma, link_faces in links.items():
-        link_dim = max(m.bit_count() for m in link_faces) - 1
-        if link_dim <= 0:
-            continue  # nothing below the top dimension to check
-        dims = homology_dims_cached(set(link_faces), p)
-        if any(deg < link_dim and d for deg, d in dims.items()):
-            return False
-    return True
-
-
-_pure_link_cache: dict = {}
-
-
-def _pure_homology_from_tops(tops: list[int], p: int | None) -> dict[int, int]:
-    """Homology of the pure complex generated by the given top faces,
-    cached on a canonical relabeling of the tops so that the face closure
-    is only expanded on a miss."""
-    key = (_canonical_faces(tops), p)
-    hit = _pure_link_cache.get(key)
-    if hit is None:
-        faces: set[int] = set()
-        for m in tops:
-            faces.update(submasks(m))
-        hit = _homology_from_faces(faces, p)
-        _pure_link_cache[key] = hit
-    return hit
-
-
-def _edges_connected(edge_masks: list[int]) -> bool:
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edge_masks:
-        bits = list(iter_bits(e))
-        for b in bits:
-            parent.setdefault(b, b)
-        anchor = find(bits[0])
-        for b in bits[1:]:
-            parent[find(b)] = anchor
-            anchor = find(anchor)
-    roots = {find(b) for b in parent}
-    return len(roots) <= 1
-
-
 def _reisner_cm_pure(top_faces: list[int], p: int | None) -> bool:
     """Reisner's criterion for the pure complex generated by equal-sized
     top faces.  Links in a pure complex are pure, so a link whose top faces
@@ -490,21 +420,21 @@ def _reisner_cm_pure(top_faces: list[int], p: int | None) -> bool:
         if apex:
             continue
         if link_dim == 1:
-            if not _edges_connected(tops):
+            if len(hypergraph_components(tops)) > 1:
                 return False
             continue
-        dims = _pure_homology_from_tops(tops, p)
+        dims = _cached_homology(FACETS, _canonical_faces(tops), p)
         if any(deg < link_dim and d for deg, d in dims.items()):
             return False
     return True
 
 
 def is_cohen_macaulay(cx: Complex, field: Field = QQ) -> bool:
-    """Reisner's criterion over the given field."""
-    if cx.is_void:
-        return True
-    masks, _ = _complex_masks(cx)
-    return _reisner_cm(_faces_from_facets(masks), field.p)
+    """Reisner's criterion over the given field.  Cohen-Macaulay complexes
+    are pure, so the pure form of the criterion decides the rest."""
+    if not is_pure(cx):
+        return False
+    return _reisner_cm_pure(_complex_masks(cx), field.p)
 
 
 def is_sequentially_cm(
@@ -533,6 +463,4 @@ def is_sequentially_cm(
 
 
 def clear_caches() -> None:
-    _face_homology_cache.clear()
-    _island_cache.clear()
-    _pure_link_cache.clear()
+    _homology_cache.clear()

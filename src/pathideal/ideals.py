@@ -112,23 +112,29 @@ def ideal_equals(a: SquarefreeIdeal, b: SquarefreeIdeal) -> bool:
     return a.gens == b.gens
 
 
+def hypergraph_components(edges) -> list[tuple]:
+    """Connected components of the hypergraph with the given hyperedges, as
+    (vertex union, member edges) pairs.  Only ``&`` and ``|`` are used, so
+    the edges may be int bitmasks or frozensets."""
+    comps: list[tuple] = []
+    for e in edges:
+        union, members, kept = e, [e], []
+        for comp in comps:
+            if comp[0] & e:
+                union |= comp[0]
+                members.extend(comp[1])
+            else:
+                kept.append(comp)
+        kept.append((union, members))
+        comps = kept
+    return comps
+
+
 def ideal_components(a: SquarefreeIdeal) -> list[SquarefreeIdeal]:
     """Partition the generators by connected components of the hypergraph
     whose hyperedges are the generator supports.  Distinct components use
     disjoint variables; each is returned over its own support."""
-    comps: list[tuple[frozenset, list[frozenset]]] = []
-    for g in sorted(a.gens, key=lambda m: sorted(m)):
-        hit = [i for i, (support, _) in enumerate(comps) if support & g]
-        if not hit:
-            comps.append((g, [g]))
-        else:
-            support = g
-            members = [g]
-            for i in hit:
-                support |= comps[i][0]
-                members.extend(comps[i][1])
-            comps = [c for i, c in enumerate(comps) if i not in hit]
-            comps.append((support, members))
+    comps = hypergraph_components(sorted(a.gens, key=lambda m: sorted(m)))
     comps.sort(key=lambda c: min(c[0]))
     return [SquarefreeIdeal(support, frozenset(members)) for support, members in comps]
 

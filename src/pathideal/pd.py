@@ -124,21 +124,23 @@ class RecursionStep:
     removed: tuple
 
 
-def _pd_forest(forest_or_tree: TreeOrForest, t: int, memo: dict, trace: list | None, stats: dict) -> int:
+def _pd_forest(forest_or_tree: TreeOrForest, t: int, memo: dict, trace: list | None) -> int:
     comps = [c for c in component_trees(forest_or_tree) if c.height() >= t - 1]
-    if len(comps) > 1:
-        stats["forest_splits"] = stats.get("forest_splits", 0) + 1
-    return sum(_pd_tree(c, t, memo, trace, stats) for c in comps)
+    return sum(_pd_tree(c, t, memo, trace) for c in comps)
 
 
-def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, stats: dict) -> int:
+def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, path: tuple | None = None) -> int:
+    """One leaf split, recursing on both pieces.  ``path`` prescribes the
+    first split generator (default: leaf_generator); callers that prescribe
+    it pass a fresh memo, so that a memo hit cannot skip the prescribed
+    split and its value is not reused for other occurrences of the shape."""
     key = (_ahu_key(tree), t)
     if key in memo:
         return memo[key]
     ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
     if not ok:
         raise NotProperlyConnectedError(pair)
-    sd = splitting_data(tree, t)
+    sd = splitting_data(tree, t, path)
     if trace is not None:
         trace.append(
             RecursionStep(
@@ -149,8 +151,8 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, stats: di
             )
         )
     value = max(
-        _pd_forest(sd.minus_leaf, t, memo, trace, stats),
-        _pd_forest(sd.minus_zone, t, memo, trace, stats) + sd.off_path_count + 1,
+        _pd_forest(sd.minus_leaf, t, memo, trace),
+        _pd_forest(sd.minus_zone, t, memo, trace) + sd.off_path_count + 1,
     )
     memo[key] = value
     return value
@@ -160,8 +162,7 @@ def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
     """pd(R/I_t) by leaf splitting.  Raises NotProperlyConnectedError as
     soon as any component along the recursion fails the precondition; the
     caller should then fall back to the Hochster route."""
-    stats: dict = {}
-    return _pd_forest(g, t, {}, trace, stats)
+    return _pd_forest(g, t, {}, trace)
 
 
 def pd_quotient_hochster(
@@ -284,28 +285,14 @@ def pd_auto(
                 p for p in enumerate_paths(tree, t) if tree.degree(p[-1]) == 1
             ]
             for alt in alternatives:
-                alt_value = _pd_with_first_split(tree, t, alt)
-                if alt_value is not None and alt_value != values["recursion"]:
+                try:
+                    alt_value = _pd_tree(tree, t, {}, None, alt)
+                except NotProperlyConnectedError:
+                    continue
+                if alt_value != values["recursion"]:
                     raise RuntimeError(
                         f"recursion value depends on the split choice: {alt} gives {alt_value}"
                     )
 
     return PdReport(value=value, method=chosen, values=values, trace=trace, notes=notes)
 
-
-def _pd_with_first_split(tree: RootedTree, t: int, path: tuple) -> int | None:
-    """Recursion value with a prescribed first split; None when some step
-    fails the properly-connected precondition."""
-    try:
-        ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
-        if not ok:
-            return None
-        sd = splitting_data(tree, t, path)
-        stats: dict = {}
-        memo: dict = {}
-        return max(
-            _pd_forest(sd.minus_leaf, t, memo, None, stats),
-            _pd_forest(sd.minus_zone, t, memo, None, stats) + sd.off_path_count + 1,
-        )
-    except NotProperlyConnectedError:
-        return None

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .bits import bit_index, to_mask
 from .errors import BoundExceededError
-from .ideals import SquarefreeIdeal
+from .ideals import SquarefreeIdeal, hypergraph_components
 
 DEFAULT_MAX_FACETS = 20
 
@@ -68,18 +68,7 @@ def is_pure(cx: Complex) -> bool:
 
 def is_connected(cx: Complex) -> bool:
     """Connected through chains of facets with nonempty intersections."""
-    facets = cx.sorted_facets()
-    if len(facets) <= 1:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(len(facets)):
-            if j not in seen and facets[i] & facets[j]:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(facets)
+    return len(hypergraph_components(cx.facets)) <= 1
 
 
 def is_leaf(cx: Complex, facet: Iterable[int]) -> tuple[bool, object]:

@@ -141,6 +141,45 @@ class TestAra:
         assert data["point_check"] is True
 
 
+class TestAraSearch:
+    def test_search_runs_once(self, tmp_path, monkeypatch, capsys):
+        import pathideal.ara as ara
+
+        calls = []
+        search = ara.good_partition_search
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(ara, "good_partition_search", counting)
+        path = tmp_path / "line10.tree"
+        path.write_text(format_tree(line(10)))
+        assert main(["ara", str(path), "-t", "3", "--search", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert data["exact"] is False
+        assert data["lower"] == 4 and data["upper"] == 8
+        assert [len(part) for part in data["partition"]] == [1] * 8
+
+
+class TestExitCodes:
+    def test_non_prime_field_is_usage_error(self, line8_file, capsys):
+        assert main(["betti", line8_file, "-t", "3", "--field", "4"]) == 2
+        assert "not prime" in capsys.readouterr().err
+
+    def test_recursion_error_is_internal_error(self, line8_file, monkeypatch, capsys):
+        import pathideal.cli as cli
+
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "pd_auto", too_deep)
+        assert main(["pd", line8_file, "-t", "3", "--method", "recursion"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "verification failure" not in err
+
+
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--samples", "3", "--max-n", "7", "--seed", "5"]) == 0

@@ -1,4 +1,11 @@
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathideal import (
     BoundExceededError,
@@ -26,6 +33,7 @@ from pathideal.corpus import (
     projective_plane_ideal,
     twelve_vertex_tree,
 )
+from pathideal import homology
 from pathideal.homology import Field, assertion_stats
 
 from oracles import simple_homology, taylor_betti
@@ -209,6 +217,49 @@ class TestCohenMacaulay:
         assert is_cohen_macaulay(rp2, QQ)
         assert not is_cohen_macaulay(rp2, gf(2))
 
+    def test_non_pure_is_not_cm(self):
+        for facets in ([{1, 2, 3}, {4}], [{1, 2, 3}, {3, 4}]):
+            for field in (QQ, gf(2)):
+                assert not is_cohen_macaulay(make_complex(facets), field)
+
+
+def _reisner_oracle(facets, p):
+    """Reisner's criterion straight from the definition: every link,
+    the empty face's included, has no reduced homology below its top."""
+    faces = {frozenset(c) for f in facets for k in range(len(f) + 1) for c in combinations(f, k)}
+    for sigma in faces:
+        link = [tau for tau in faces if not tau & sigma and tau | sigma in faces]
+        top = max(len(tau) for tau in link) - 1
+        if any(deg < top for deg in simple_homology(link, p)):
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.frozensets(st.frozensets(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=6))
+def test_cohen_macaulay_matches_reisner_oracle(facets):
+    cx = make_complex(facets)
+    for p in (None, 2):
+        field = QQ if p is None else gf(p)
+        assert is_cohen_macaulay(cx, field) == _reisner_oracle(cx.facets, p)
+
+
+class TestHomologyCache:
+    def test_facets_and_non_faces_keep_separate_entries(self):
+        # as facets, 011 and 110 span a path; as minimal non-faces over
+        # their union they leave the edge {0, 2} and the vertex 1
+        masks = (0b011, 0b110)
+        expected = {
+            homology.FACETS: simple_homology([{0, 1}, {1, 2}]),
+            homology.NON_FACES: simple_homology([{0, 2}, {1}]),
+        }
+        assert expected == {homology.FACETS: {}, homology.NON_FACES: {0: 1}}
+        key = homology._canonical_faces(masks)
+        for order in ((homology.FACETS, homology.NON_FACES), (homology.NON_FACES, homology.FACETS)):
+            homology.clear_caches()
+            for kind in order:
+                assert homology._cached_homology(kind, key, None) == expected[kind]
+
 
 class TestSequentiallyCM:
     def test_path_ideals(self):
@@ -247,3 +298,44 @@ class TestExactnessChecks:
         assert assertion_stats["euler"] >= before["euler"]
         # at least one new computation ran its checks unless fully cached
         assert assertion_stats["boundary_squared"] >= before["boundary_squared"]
+
+
+class TestChecksSurviveOptimize:
+    def test_checks_raise_under_python_O(self):
+        script = textwrap.dedent(
+            """
+            import pathideal.ara as ara
+            import pathideal.homology as homology
+            from pathideal import make_complex, reduced_homology_dims
+            from pathideal.errors import CheckFailedError
+
+            assert False, "this script must run under python -O"
+
+            ara.verify_sv_conditions = lambda partition, ideal: (False, ("forced",))
+            try:
+                ara.construct_partition_t3(7)
+            except CheckFailedError:
+                print("partition check raised")
+
+            # edges on bit 0 list their bits backwards: the triangle's
+            # boundary composed with boundary is then nonzero
+            plain = homology.iter_bits
+
+            def skewed(mask):
+                bits = list(plain(mask))
+                return reversed(bits) if mask & 1 and len(bits) == 2 else iter(bits)
+
+            homology.iter_bits = skewed
+            try:
+                reduced_homology_dims(make_complex([{1, 2, 3}]))
+            except CheckFailedError:
+                print("boundary check raised")
+            """
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n")[:2] == ["partition check raised", "boundary check raised"]

@@ -12,7 +12,7 @@ from pathideal import (
     zero_ideal,
 )
 from pathideal.corpus import line
-from pathideal.ideals import ideal_from_json, ideal_to_json, to_macaulay2
+from pathideal.ideals import hypergraph_components, ideal_from_json, ideal_to_json, to_macaulay2
 
 from oracles import ideal_equals_bruteforce
 
@@ -114,6 +114,14 @@ class TestEqualsComponents:
 
     def test_components_zero(self):
         assert ideal_components(zero_ideal({1, 2})) == []
+
+    def test_hypergraph_components_masks_and_sets(self):
+        edges = [{1, 2}, {4, 5}, {2, 3}, {6}, {3, 4}]
+        masks = [sum(1 << v for v in e) for e in edges]
+        for form in ([frozenset(e) for e in edges], masks):
+            comps = hypergraph_components(form)
+            assert sorted(len(members) for _, members in comps) == [1, 4]
+        assert hypergraph_components([]) == []
 
 
 class TestExport:

@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .errors import BoundExceededError, CheckFailedError
-from .homology import QQ, Field, char_independence_report
+from .homology import QQ, char_independence_report
 from .ideals import SquarefreeIdeal
 from .pd import pd_line_closed_form, pd_quotient_hochster
 
@@ -279,30 +279,22 @@ def partition_from_jsonable(data: dict) -> SVPartition:
     return SVPartition(parts, exponents)
 
 
-def ara_bounds(
-    ideal: SquarefreeIdeal,
-    hint: tuple[int, int] | None = None,
-    field: Field = QQ,
-    max_n: int | None = None,
-    search_max_gens: int = DEFAULT_SEARCH_MAX_GENS,
-    assert_char_independence: bool = True,
-) -> AraBounds:
+def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
     """Lower bound pd(R/I); upper bound from the best valid partition found
     (explicit construction, exhaustive good-partition search, or the
     singleton fallback)."""
     if ideal.is_zero:
         return AraBounds(0, 0, True, None, "zero ideal")
-    line = hint or recognize_line_ideal(ideal)
+    line = recognize_line_ideal(ideal)
     if line:
         t, n = line
         lower = pd_line_closed_form(n, t)
         note = f"line graph with t={t}, n={n}"
     else:
-        if assert_char_independence:
-            ok, diffs = char_independence_report(ideal, max_n=max_n)
-            if not ok:
-                raise RuntimeError(f"Betti tables depend on the characteristic: {diffs}")
-        lower = pd_quotient_hochster(ideal, field, max_n)
+        ok, diffs = char_independence_report(ideal, max_n=max_n)
+        if not ok:
+            raise RuntimeError(f"Betti tables depend on the characteristic: {diffs}")
+        lower = pd_quotient_hochster(ideal, QQ, max_n)
         note = "pd from Hochster tables"
 
     partition: SVPartition | None = None
@@ -316,18 +308,17 @@ def ara_bounds(
                 for part in canonical.parts
             )
         )
-    elif len(ideal.gens) <= search_max_gens and lower >= 1:
-        partition = good_partition_search(ideal, lower, search_max_gens)
+    elif len(ideal.gens) <= DEFAULT_SEARCH_MAX_GENS and lower >= 1:
+        partition = good_partition_search(ideal, lower)
 
     if partition is not None:
         ok, violation = verify_sv_conditions(partition, ideal)
         if not ok:
             raise RuntimeError(f"candidate partition failed validation: {violation}")
-        upper = len(partition.parts)
     else:
         partition = singleton_partition(ideal)
-        upper = len(partition.parts)
         note += "; only the singleton partition available"
+    upper = len(partition.parts)
 
     return AraBounds(lower, upper, lower == upper, partition, note)
 

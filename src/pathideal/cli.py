@@ -200,7 +200,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     results = run_verification(
         samples=args.samples,
         seed=args.seed,
-        max_n=args.max_n if args.max_n is not None else 9,
+        max_n=args.max_n,
     )
     failed = [r for r in results if not r.passed]
     if args.format == "json":
@@ -222,40 +222,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathideal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, func, wants_t=True):
+    def option(*names, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding one argument, shared by the commands that read it."""
+        holder = argparse.ArgumentParser(add_help=False)
+        holder.add_argument(*names, **kwargs)
+        return holder
+
+    tree_file = option("tree_file")
+    t = option("-t", type=int, default=2, help="number of vertices per path")
+    fmt = option("--format", choices=("text", "json"), default="text")
+    field = option("--field", default="q", help="q for the rationals or a prime p")
+    max_n = option("--max-n", type=int, default=None, help="Hochster vertex bound")
+
+    def command(subparsers, name, func, *parents, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, parents=[tree_file, *parents], **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("tree_file")
-        if wants_t:
-            p.add_argument("-t", type=int, default=2, help="number of vertices per path")
-        p.add_argument("--format", choices=("text", "json", "macaulay2"), default="text")
-        p.add_argument("--field", default="q", help="q for the rationals or a prime p")
-        p.add_argument("--max-n", type=int, default=None, help="Hochster vertex bound")
+        return p
 
     tree_p = sub.add_parser("tree", help="parse trees and list paths")
     tree_sub = tree_p.add_subparsers(dest="subcommand", required=True)
-    common(tree_sub.add_parser("parse"), cmd_tree_parse, wants_t=False)
-    common(tree_sub.add_parser("paths"), cmd_tree_paths)
+    command(tree_sub, "parse", cmd_tree_parse, fmt)
+    command(tree_sub, "paths", cmd_tree_paths, t, fmt)
 
     ideal_p = sub.add_parser("ideal", help="path ideal generators")
     ideal_sub = ideal_p.add_subparsers(dest="subcommand", required=True)
-    common(ideal_sub.add_parser("gens"), cmd_ideal_gens)
+    m2_fmt = option("--format", choices=("text", "json", "macaulay2"), default="text")
+    command(ideal_sub, "gens", cmd_ideal_gens, t, m2_fmt)
 
-    betti_p = sub.add_parser("betti", help="graded Betti table via Hochster's formula")
-    common(betti_p, cmd_betti)
+    betti_p = command(sub, "betti", cmd_betti, t, fmt, field, max_n, help="graded Betti table via Hochster's formula")
     betti_p.add_argument("--subject", choices=("ideal", "quotient"), default="quotient")
 
-    pd_p = sub.add_parser("pd", help="projective dimension of the quotient")
-    common(pd_p, cmd_pd)
+    pd_p = command(sub, "pd", cmd_pd, t, fmt, field, max_n, help="projective dimension of the quotient")
     pd_p.add_argument("--method", choices=("auto", "closed-form", "recursion", "hochster"), default="auto")
     pd_p.add_argument("--verify", action="store_true", help="run all applicable methods and compare")
 
     check_p = sub.add_parser("check", help="boolean structure checks")
     check_sub = check_p.add_subparsers(dest="subcommand", required=True)
-    for kind in ("simplicial-tree", "properly-connected", "scm", "char-independence"):
-        common(check_sub.add_parser(kind), cmd_check)
+    command(check_sub, "simplicial-tree", cmd_check, t, fmt)
+    command(check_sub, "properly-connected", cmd_check, t, fmt)
+    command(check_sub, "scm", cmd_check, t, fmt, field)
+    command(check_sub, "char-independence", cmd_check, t, fmt, max_n)
 
-    ara_p = sub.add_parser("ara", help="arithmetical rank bounds")
-    common(ara_p, cmd_ara)
+    ara_p = command(sub, "ara", cmd_ara, t, fmt, max_n, help="arithmetical rank bounds")
     ara_p.add_argument(
         "--search",
         action="store_true",
@@ -265,12 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     ara_p.add_argument("--construct-t3", action="store_true", help="print the explicit t=3 partition")
     ara_p.add_argument("--point-check", action="store_true", help="scan 0/1 points against the witnesses")
 
-    verify_p = sub.add_parser("verify", help="run the verification suite")
+    verify_p = sub.add_parser("verify", parents=[fmt], help="run the verification suite")
     verify_p.set_defaults(func=cmd_verify)
     verify_p.add_argument("--samples", type=int, default=10)
     verify_p.add_argument("--seed", type=int, default=101)
-    verify_p.add_argument("--max-n", type=int, default=None)
-    verify_p.add_argument("--format", choices=("text", "json"), default="text")
+    verify_p.add_argument("--max-n", type=int, default=9)
 
     return parser
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .ideals import SquarefreeIdeal, make_ideal
 from .simplicial import Complex
@@ -22,13 +22,26 @@ def line(n: int) -> RootedTree:
     """The line graph on vertices 1..n, directed 1 -> 2 -> ... -> n."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return RootedTree.from_edges([], root=1)
     return RootedTree.from_edges([(i, i + 1) for i in range(1, n)], root=1)
 
 
 def twelve_vertex_tree() -> RootedTree:
     return RootedTree.from_edges(_TWELVE_EDGES, root=1)
+
+
+def _orient(adj: Mapping[int, Iterable[int]], root: int) -> RootedTree:
+    """Direct every edge of an undirected adjacency away from ``root`` (depth first)."""
+    edges = []
+    seen = {root}
+    queue = [root]
+    while queue:
+        u = queue.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                edges.append((u, v))
+                queue.append(v)
+    return RootedTree.from_edges(edges, root=root)
 
 
 def reroot(tree: RootedTree, new_root: int) -> RootedTree:
@@ -38,17 +51,7 @@ def reroot(tree: RootedTree, new_root: int) -> RootedTree:
     adj: dict[int, set[int]] = {v: set(tree.children[v]) for v in tree.vertices}
     for child, parent in tree.parent.items():
         adj[child].add(parent)
-    edges = []
-    seen = {new_root}
-    queue = [new_root]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                edges.append((u, v))
-                queue.append(v)
-    return RootedTree.from_edges(edges, root=new_root)
+    return _orient(adj, new_root)
 
 
 def twelve_vertex_tree_rerooted() -> RootedTree:
@@ -63,8 +66,6 @@ def random_tree(seed: int, n: int) -> RootedTree:
         raise ValueError("need n >= 1")
     if n == 1:
         return RootedTree.from_edges([], root=1)
-    if n == 2:
-        return RootedTree.from_edges([(1, 2)], root=1)
     rng = random.Random(seed)
     seq = [rng.randrange(1, n + 1) for _ in range(n - 2)]
     degree = {v: 1 for v in range(1, n + 1)}
@@ -86,17 +87,7 @@ def random_tree(seed: int, n: int) -> RootedTree:
     for u, v in undirected:
         adj[u].append(v)
         adj[v].append(u)
-    edges = []
-    seen = {1}
-    queue = [1]
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                edges.append((u, v))
-                queue.append(v)
-    return RootedTree.from_edges(edges, root=1)
+    return _orient(adj, 1)
 
 
 CORPUS_RANDOM_COUNT = 20

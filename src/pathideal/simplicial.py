@@ -174,6 +174,23 @@ def has_leaf_order(cx: Complex) -> bool:
     return solvable(frozenset(range(q)))
 
 
+def _proper_distances(facets: list[frozenset], source: frozenset) -> dict:
+    """Breadth-first proper-chain distances from ``source`` to every facet
+    it reaches: consecutive facets share all but one vertex."""
+    size = len(source)
+    dist = {source: 0}
+    queue = [source]
+    while queue and size > 1:
+        nxt = []
+        for cur in queue:
+            for other in facets:
+                if other not in dist and len(cur & other) == size - 1:
+                    dist[other] = dist[cur] + 1
+                    nxt.append(other)
+        queue = nxt
+    return dist
+
+
 def proper_distance(cx: Complex, f: Iterable[int], g: Iterable[int]):
     """Length of the shortest proper chain between two facets of a pure
     complex: consecutive facets must share exactly (facet size - 1)
@@ -185,25 +202,9 @@ def proper_distance(cx: Complex, f: Iterable[int], g: Iterable[int]):
     if not is_pure(cx):
         raise ValueError("proper distance requires a pure complex")
     F, G = frozenset(f), frozenset(g)
-    facets = cx.sorted_facets()
     if F not in cx.facets or G not in cx.facets:
         raise ValueError("both arguments must be facets")
-    if F == G:
-        return 0
-    size = len(F)
-    dist = {F: 0}
-    queue = [F]
-    while queue:
-        nxt = []
-        for cur in queue:
-            for other in facets:
-                if other not in dist and len(cur & other) == size - 1 and size - 1 > 0:
-                    dist[other] = dist[cur] + 1
-                    if other == G:
-                        return dist[other]
-                    nxt.append(other)
-        queue = nxt
-    return math.inf
+    return _proper_distances(cx.sorted_facets(), F).get(G, math.inf)
 
 
 def is_properly_connected(cx: Complex) -> tuple[bool, tuple | None]:
@@ -217,17 +218,7 @@ def is_properly_connected(cx: Complex) -> tuple[bool, tuple | None]:
     facets = cx.sorted_facets()
     size = len(facets[0])
     for i, F in enumerate(facets):
-        # one BFS per source facet
-        dist = {F: 0}
-        queue = [F]
-        while queue:
-            nxt = []
-            for cur in queue:
-                for other in facets:
-                    if other not in dist and size - 1 > 0 and len(cur & other) == size - 1:
-                        dist[other] = dist[cur] + 1
-                        nxt.append(other)
-            queue = nxt
+        dist = _proper_distances(facets, F)
         for G in facets[i + 1:]:
             common = F & G
             if not common:

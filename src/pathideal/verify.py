@@ -1,9 +1,12 @@
 """Verification harness: runs every theorem-level property against the
 bundled corpus plus freshly sampled random trees.
 
-Checks are independent of each other and of evaluation order; the report
-is always sorted by check name.  Negative controls confirm that the
-harness itself catches wrong answers.
+Every check raises ``errors.CheckFailedError`` on a wrong answer, so the
+battery runs the same under ``python -O``.  The checks form one registry
+keyed by name; per-ideal checks share one list of path-ideal cases.
+Checks are independent of each other and of evaluation order; they run,
+and are reported, sorted by check name.  Negative controls confirm that
+the harness itself catches wrong answers.
 """
 from __future__ import annotations
 
@@ -19,9 +22,11 @@ from .corpus import (
     triangle_boundary,
     twelve_vertex_tree,
 )
+from .errors import CheckFailedError
 from .homology import (
     DEFAULT_FIELDS,
     QQ,
+    BettiTable,
     betti_table_hochster,
     char_independence_report,
     gf,
@@ -56,12 +61,19 @@ from .simplicial import (
 )
 from .trees import enumerate_paths, parse_tree, path_ideal, tree_from_json, tree_to_json
 
+TS = (2, 3)  # the path sizes t that the battery covers
+
 
 @dataclass
 class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise CheckFailedError(message)
 
 
 def _sample_trees(samples: int, seed: int, max_n: int):
@@ -72,189 +84,161 @@ def _sample_trees(samples: int, seed: int, max_n: int):
     return out
 
 
-def run_verification(
-    samples: int = 10,
-    seed: int = 101,
-    max_n: int = 9,
-    ts: tuple[int, ...] = (2, 3),
-    hochster_bound: int | None = None,
-) -> list[CheckResult]:
-    trees = [(name, t) for name, t in corpus_trees() if t.n <= max_n]
+def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list[CheckResult]:
+    bound = max(max_n, 9)  # Hochster vertex bound
+    trees = [(label, tree) for label, tree in corpus_trees() if tree.n <= max_n]
     trees += _sample_trees(samples, seed, max_n)
-    results: list[CheckResult] = []
+    # one (name, tree, t, path ideal) case per tree and t, and those within the bound
+    cases = [(f"{label} t={t}", tree, t, path_ideal(tree, t)) for label, tree in trees for t in TS]
+    small = [c for c in cases if len(c[3].ambient) <= bound]
 
-    def check(name: str, fn) -> None:
+    def each(fn, among):
+        def check():
+            for case in among:
+                fn(*case)
+        return check
+
+    # per-ideal checks: fn(name, tree, t, ideal) raises on a wrong answer
+    def c_path_levels(name, tree, t, ideal):
+        for p in enumerate_paths(tree, t):
+            levels = [tree.level(v) for v in p]
+            _require(levels == list(range(levels[0], levels[0] + t)), f"{name} {p}")
+
+    def c_path_intersections(name, tree, t, ideal):
+        paths = enumerate_paths(tree, t)
+        for i, p in enumerate(paths):
+            for q in paths[i + 1:]:
+                common = set(p) & set(q)
+                if not common:
+                    continue
+                start = max(p[0], q[0], key=tree.level)
+                in_p = [v for v in p if v in common]
+                in_q = [v for v in q if v in common]
+                _require(in_p == in_q, f"{name}: inconsistent order")
+                _require(in_p[0] == start, f"{name}: wrong start")
+                _require(p.index(in_p[-1]) - p.index(in_p[0]) == len(common) - 1, f"{name}: not contiguous")
+
+    def c_leaf_facets(name, tree, t, ideal):
+        if ideal.is_zero or tree.n < 2:
+            return
+        cx = facet_complex(ideal)
+        graph_leaves = tree.leaves()
+        for p in enumerate_paths(tree, t):
+            if p[-1] in graph_leaves:
+                ok, _ = is_leaf(cx, frozenset(p))
+                _require(ok, f"{name}: facet {p} not a leaf")
+
+    def c_forest_theorem(name, tree, t, ideal):
+        cx = facet_complex(ideal)
+        if len(cx.facets) > 16:
+            return
+        ok, witness = is_simplicial_tree(cx)
+        _require(ok, f"{name}: {witness}")
+
+    def c_purity(name, tree, t, ideal):
+        cx = facet_complex(ideal)
+        _require(is_pure(cx), name)
+        _require(all(len(f) == t for f in cx.facets), name)
+
+    def c_leaf_order(name, tree, t, ideal):
+        cx = facet_complex(ideal)
+        if len(cx.facets) > 14:
+            return
+        ok, _ = is_simplicial_forest(cx)
+        if ok:
+            _require(has_leaf_order(cx), name)
+
+    def c_char_independence(name, tree, t, ideal):
+        ok, diffs = char_independence_report(ideal, max_n=bound)
+        _require(ok, f"{name}: {diffs[:3]}")
+
+    def c_betti_splitting(name, tree, t, ideal):
+        if ideal.is_zero:
+            return
+        w = frozenset(leaf_generator(tree, t))
+        J = make_ideal([w], ambient=ideal.ambient)
+        K = make_ideal([g for g in ideal.gens if g != w], ambient=ideal.ambient)
+        if K.is_zero:
+            return
+        for field in DEFAULT_FIELDS:
+            _require(verify_betti_splitting(J, K, field, bound), f"{name} {field}")
+
+    def c_intersection_lemma(name, tree, t, ideal):
+        if ideal.is_zero:
+            return
+        ok, _ = is_properly_connected(facet_complex(ideal))
+        if not ok:
+            return
+        sd = splitting_data(tree, t)
+        ambient = ideal.ambient
+        left = ideal_intersect(
+            path_ideal(sd.minus_leaf, t).with_ambient(ambient),
+            make_ideal([sd.facet], ambient=ambient),
+        )
+        inner = ideal_sum(
+            make_ideal([{y} for y in sd.off_path], ambient=ambient),
+            path_ideal(sd.minus_zone, t).with_ambient(ambient),
+        )
+        right = ideal_multiply(sd.facet, inner).with_ambient(ambient)
+        _require(ideal_equals(left, right), name)
+
+    def c_recursion(name, tree, t, ideal):
         try:
-            detail = fn()
-            results.append(CheckResult(name, True, detail or ""))
-        except AssertionError as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            rec = pd_recursive(tree, t)
+        except NotProperlyConnectedError:
+            return
+        oracle = pd_quotient_hochster(ideal, QQ, bound)
+        _require(rec == oracle, f"{name}: {rec} vs {oracle}")
 
-    def ideals():
-        for name, tree in trees:
-            for t in ts:
-                yield name, tree, t, path_ideal(tree, t)
+    def c_scm(name, tree, t, ideal):
+        for field in (QQ, gf(2)):
+            _require(is_sequentially_cm(ideal, field), f"{name} over {field}")
 
+    def c_quotient_shift(name, tree, t, ideal):
+        table = betti_table_hochster(ideal, QQ, bound)
+        quo = table.as_quotient()
+        for (i, j), v in table.entries.items():
+            _require(quo.value(i + 1, j) == v, name)
+        _require(quo.value(0, 0) == 1, name)
+
+    # whole-battery checks: fn() raises on a wrong answer, else returns a detail or None
     def c_generator_count():
-        count = 0
-        for name, tree, t, ideal in ideals():
+        for name, tree, t, ideal in cases:
             expect = sum(1 for v in tree.vertices if tree.level(v) >= t - 1)
-            assert len(ideal.gens) == expect, f"{name} t={t}"
-            count += 1
-        return f"{count} ideals"
-
-    def c_path_levels():
-        for name, tree, t, _ in ideals():
-            for p in enumerate_paths(tree, t):
-                levels = [tree.level(v) for v in p]
-                assert levels == list(range(levels[0], levels[0] + t)), f"{name} t={t} {p}"
-        return ""
-
-    def c_path_intersections():
-        for name, tree, t, _ in ideals():
-            paths = enumerate_paths(tree, t)
-            for i, p in enumerate(paths):
-                for q in paths[i + 1:]:
-                    common = set(p) & set(q)
-                    if not common:
-                        continue
-                    start = max(p[0], q[0], key=tree.level)
-                    size = len(common)
-                    in_p = [v for v in p if v in common]
-                    in_q = [v for v in q if v in common]
-                    assert in_p == in_q, f"{name} t={t}: inconsistent order"
-                    assert in_p[0] == start, f"{name} t={t}: wrong start"
-                    assert p.index(in_p[-1]) - p.index(in_p[0]) == size - 1, f"{name} t={t}: not contiguous"
-        return ""
-
-    def c_leaf_facets():
-        for name, tree, t, ideal in ideals():
-            if ideal.is_zero or tree.n < 2:
-                continue
-            cx = facet_complex(ideal)
-            graph_leaves = tree.leaves()
-            for p in enumerate_paths(tree, t):
-                if p[-1] in graph_leaves:
-                    ok, _ = is_leaf(cx, frozenset(p))
-                    assert ok, f"{name} t={t}: facet {p} not a leaf"
-        return ""
-
-    def c_forest_theorem():
-        for name, tree, t, ideal in ideals():
-            cx = facet_complex(ideal)
-            if len(cx.facets) > 16:
-                continue
-            ok, witness = is_simplicial_tree(cx)
-            assert ok, f"{name} t={t}: {witness}"
-        return ""
-
-    def c_purity():
-        for name, tree, t, ideal in ideals():
-            cx = facet_complex(ideal)
-            assert is_pure(cx), f"{name} t={t}"
-            assert all(len(f) == t for f in cx.facets), f"{name} t={t}"
-        return ""
-
-    def c_leaf_order():
-        for name, tree, t, ideal in ideals():
-            cx = facet_complex(ideal)
-            if len(cx.facets) > 14:
-                continue
-            ok, _ = is_simplicial_forest(cx)
-            if ok:
-                assert has_leaf_order(cx), f"{name} t={t}"
-        return ""
-
-    def c_char_independence():
-        for name, tree, t, ideal in ideals():
-            if len(ideal.ambient) > hochster_bound_eff:
-                continue
-            ok, diffs = char_independence_report(ideal, max_n=hochster_bound_eff)
-            assert ok, f"{name} t={t}: {diffs[:3]}"
-        return ""
-
-    def c_betti_splitting():
-        for name, tree, t, ideal in ideals():
-            if ideal.is_zero or len(ideal.ambient) > hochster_bound_eff:
-                continue
-            w = leaf_generator(tree, t)
-            J = make_ideal([frozenset(w)], ambient=ideal.ambient)
-            rest = [g for g in ideal.gens if g != frozenset(w)]
-            K = make_ideal(rest, ambient=ideal.ambient)
-            if K.is_zero:
-                continue
-            for field in DEFAULT_FIELDS:
-                assert verify_betti_splitting(J, K, field, hochster_bound_eff), f"{name} t={t} {field}"
-        return ""
-
-    def c_intersection_lemma():
-        for name, tree, t, ideal in ideals():
-            if ideal.is_zero:
-                continue
-            ok, _ = is_properly_connected(facet_complex(ideal))
-            if not ok:
-                continue
-            sd = splitting_data(tree, t)
-            ambient = ideal.ambient
-            left = ideal_intersect(
-                path_ideal(sd.minus_leaf, t).with_ambient(ambient),
-                make_ideal([sd.facet], ambient=ambient),
-            )
-            inner = ideal_sum(
-                make_ideal([{y} for y in sd.off_path], ambient=ambient),
-                path_ideal(sd.minus_zone, t).with_ambient(ambient),
-            )
-            right = ideal_multiply(sd.facet, inner).with_ambient(ambient)
-            assert ideal_equals(left, right), f"{name} t={t}"
-        return ""
+            _require(len(ideal.gens) == expect, name)
+        return f"{len(cases)} ideals"
 
     def c_closed_form():
         for n in range(2, min(max_n, 11) + 1):
-            for t in ts:
+            for t in TS:
                 if t > n:
                     continue
-                oracle = pd_quotient_hochster(path_ideal(line(n), t), QQ, hochster_bound_eff)
-                assert oracle == pd_line_closed_form(n, t), f"L{n} t={t}"
-        return ""
-
-    def c_recursion():
-        for name, tree, t, ideal in ideals():
-            if len(ideal.ambient) > hochster_bound_eff:
-                continue
-            try:
-                rec = pd_recursive(tree, t)
-            except NotProperlyConnectedError:
-                continue
-            oracle = pd_quotient_hochster(ideal, QQ, hochster_bound_eff)
-            assert rec == oracle, f"{name} t={t}: {rec} vs {oracle}"
-        return ""
+                oracle = pd_quotient_hochster(path_ideal(line(n), t), QQ, bound)
+                _require(oracle == pd_line_closed_form(n, t), f"L{n} t={t}")
 
     def c_lower_bound():
-        for name, tree in _sample_trees(samples, seed + 1000, max_n):
+        for label, tree in _sample_trees(samples, seed + 1000, max_n):
             h = tree.height()
-            for t in ts:
+            for t in TS:
                 if t > h + 1:
                     continue
                 left = pd_line_closed_form(h + 1, t)
-                right = pd_quotient_hochster(path_ideal(tree, t), QQ, hochster_bound_eff)
-                assert left <= right, f"{name} t={t}: {left} > {right}"
-        return ""
+                right = pd_quotient_hochster(path_ideal(tree, t), QQ, bound)
+                _require(left <= right, f"{label} t={t}: {left} > {right}")
 
     def c_sv_constructions():
         for n in range(3, 14):
             if n % 4 == 2:
                 continue
             partition = ara_mod.construct_partition_t3(n)
-            assert len(partition.parts) == pd_line_closed_form(n, 3), f"n={n}"
-        return ""
+            _require(len(partition.parts) == pd_line_closed_form(n, 3), f"n={n}")
 
     def c_no_good_partition():
         for n in (6, 10):
-            assert ara_mod.no_good_partition_inequality(n, 3), f"n={n}"
+            _require(ara_mod.no_good_partition_inequality(n, 3), f"n={n}")
             ideal = ara_mod.line_ideal(n, 3)
             found = ara_mod.good_partition_search(ideal, pd_line_closed_form(n, 3))
-            assert found is None, f"n={n}: unexpected partition {found}"
-        return ""
+            _require(found is None, f"n={n}: unexpected partition {found}")
 
     def c_sv_structure():
         for n in range(4, 11):
@@ -263,91 +247,70 @@ def run_verification(
             found = ara_mod.good_partition_search(ideal, parts)
             if found is None:
                 continue
-            start = {g: min(g) for g in ideal.gens}
             for part in found.parts[1:]:
-                assert len(part) <= 3 // 2 + 1, f"n={n}: part too large"
-                idxs = sorted(start[g] for g in part)
+                _require(len(part) <= 3 // 2 + 1, f"n={n}: part too large")
+                idxs = sorted(min(g) for g in part)
                 for a, b in zip(idxs, idxs[1:]):
-                    assert a + 1 < b <= a + 3, f"n={n}: bad gap"
-        return ""
-
-    def c_scm():
-        for name, tree, t, ideal in ideals():
-            if len(ideal.ambient) > hochster_bound_eff:
-                continue
-            for field in (QQ, gf(2)):
-                assert is_sequentially_cm(ideal, field), f"{name} t={t} over {field}"
-        return ""
-
-    def c_quotient_shift():
-        for name, tree, t, ideal in ideals():
-            if len(ideal.ambient) > hochster_bound_eff:
-                continue
-            table = betti_table_hochster(ideal, QQ, hochster_bound_eff)
-            quo = table.as_quotient()
-            for (i, j), v in table.entries.items():
-                assert quo.value(i + 1, j) == v, f"{name} t={t}"
-            assert quo.value(0, 0) == 1
-        return ""
+                    _require(a + 1 < b <= a + 3, f"n={n}: bad gap")
 
     def c_negative_controls():
         ok, _ = is_simplicial_forest(triangle_boundary())
-        assert not ok, "triangle boundary passed the forest check"
-        assert not has_leaf_order(triangle_boundary()), "triangle boundary has a leaf order"
+        _require(not ok, "triangle boundary passed the forest check")
+        _require(not has_leaf_order(triangle_boundary()), "triangle boundary has a leaf order")
         ok, diffs = char_independence_report(projective_plane_ideal())
-        assert not ok and diffs, "projective plane fixture shows no disagreement"
-        assert not is_sequentially_cm(four_cycle_edge_ideal(), QQ), "4-cycle passed the SCM check"
+        _require(not ok and bool(diffs), "projective plane fixture shows no disagreement")
+        _require(not is_sequentially_cm(four_cycle_edge_ideal(), QQ), "4-cycle passed the SCM check")
         # a deliberately wrong closed form must be caught by the comparator
         wrong = lambda n, t: pd_line_closed_form(n, t) + (1 if n == 7 else 0)
         caught = False
         for n in range(2, 9):
-            oracle = pd_quotient_hochster(path_ideal(line(n), 2), QQ, hochster_bound_eff)
+            oracle = pd_quotient_hochster(path_ideal(line(n), 2), QQ, bound)
             if wrong(n, 2) != oracle:
                 caught = True
-        assert caught, "mutated closed form was not caught"
+        _require(caught, "mutated closed form was not caught")
         # a witness set missing a generator must fail the point check
         ideal = make_ideal([{1, 2}, {3, 4}], ambient={1, 2, 3, 4})
         broken = [ara_mod.WitnessPolynomial(((frozenset({1, 2}), 1),))]
-        assert not ara_mod.radical_point_check(broken, ideal), "broken witnesses passed"
-        return ""
+        _require(not ara_mod.radical_point_check(broken, ideal), "broken witnesses passed")
 
     def c_json_roundtrip():
         tree = twelve_vertex_tree()
-        assert tree_from_json(tree_to_json(tree)) == tree
-        assert parse_tree("root 1\n" + "\n".join(f"{u} {v}" for u, v in tree.edges())) == tree
+        _require(tree_from_json(tree_to_json(tree)) == tree, "tree JSON")
+        _require(parse_tree("root 1\n" + "\n".join(f"{u} {v}" for u, v in tree.edges())) == tree, "tree text")
         ideal = path_ideal(tree, 3)
-        assert ideal_from_json(ideal_to_json(ideal)) == ideal
+        _require(ideal_from_json(ideal_to_json(ideal)) == ideal, "ideal JSON")
         table = betti_table_hochster(path_ideal(line(5), 2), QQ)
-        from .homology import BettiTable
-
-        assert BettiTable.from_jsonable(table.to_jsonable()) == table
+        _require(BettiTable.from_jsonable(table.to_jsonable()) == table, "Betti table JSON")
         partition = ara_mod.construct_partition_t3(8)
         back = ara_mod.partition_from_jsonable(ara_mod.partition_to_jsonable(partition))
-        assert back == partition
-        return ""
+        _require(back == partition, "partition JSON")
 
-    hochster_bound_eff = hochster_bound if hochster_bound is not None else max(max_n, 9)
-
-    check("betti_splitting_identity", c_betti_splitting)
-    check("characteristic_independence", c_char_independence)
-    check("closed_form_vs_oracle", c_closed_form)
-    check("generator_count", c_generator_count)
-    check("intersection_lemma_identity", c_intersection_lemma)
-    check("json_roundtrip", c_json_roundtrip)
-    check("leaf_facet_lemma", c_leaf_facets)
-    check("lower_bound_theorem", c_lower_bound)
-    check("negative_controls", c_negative_controls)
-    check("no_good_partition", c_no_good_partition)
-    check("path_intersection_lemma", c_path_intersections)
-    check("path_levels", c_path_levels)
-    check("purity", c_purity)
-    check("quasi_forest_order", c_leaf_order)
-    check("quotient_shift", c_quotient_shift)
-    check("recursion_vs_oracle", c_recursion)
-    check("sequentially_cm", c_scm)
-    check("simplicial_forest_theorem", c_forest_theorem)
-    check("sv_partition_constructions", c_sv_constructions)
-    check("sv_partition_structure", c_sv_structure)
-
-    results.sort(key=lambda r: r.name)
+    checks = {
+        "betti_splitting_identity": each(c_betti_splitting, small),
+        "characteristic_independence": each(c_char_independence, small),
+        "closed_form_vs_oracle": c_closed_form,
+        "generator_count": c_generator_count,
+        "intersection_lemma_identity": each(c_intersection_lemma, cases),
+        "json_roundtrip": c_json_roundtrip,
+        "leaf_facet_lemma": each(c_leaf_facets, cases),
+        "lower_bound_theorem": c_lower_bound,
+        "negative_controls": c_negative_controls,
+        "no_good_partition": c_no_good_partition,
+        "path_intersection_lemma": each(c_path_intersections, cases),
+        "path_levels": each(c_path_levels, cases),
+        "purity": each(c_purity, cases),
+        "quasi_forest_order": each(c_leaf_order, cases),
+        "quotient_shift": each(c_quotient_shift, small),
+        "recursion_vs_oracle": each(c_recursion, small),
+        "sequentially_cm": each(c_scm, small),
+        "simplicial_forest_theorem": each(c_forest_theorem, cases),
+        "sv_partition_constructions": c_sv_constructions,
+        "sv_partition_structure": c_sv_structure,
+    }
+    results: list[CheckResult] = []
+    for name, fn in sorted(checks.items()):
+        try:
+            results.append(CheckResult(name, True, fn() or ""))
+        except CheckFailedError as exc:
+            results.append(CheckResult(name, False, str(exc)))
     return results

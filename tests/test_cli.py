@@ -190,3 +190,22 @@ class TestVerify:
         # report is sorted by check name
         names = [l.split()[1] for l in lines]
         assert names == sorted(names)
+
+
+class TestOptionsOnlyWhereRead:
+    def test_check_simplicial_tree_rejects_unread_options(self, line8_file, capsys):
+        assert main(["check", "simplicial-tree", line8_file, "-t", "3", "--max-n", "1", "--field", "5"]) == 2
+
+    def test_tree_parse_has_no_field(self, line8_file, capsys):
+        assert main(["tree", "parse", line8_file, "--field", "4"]) == 2
+        assert "not prime" not in capsys.readouterr().err
+
+    def test_macaulay2_only_on_ideal_gens(self, line8_file, capsys):
+        assert main(["betti", line8_file, "-t", "3", "--format", "macaulay2"]) == 2
+
+    def test_options_kept_where_read(self, line8_file, capsys):
+        assert main(["betti", line8_file, "-t", "3", "--field", "3", "--max-n", "10", "--format", "json"]) == 0
+        assert main(["pd", line8_file, "-t", "3", "--field", "2", "--max-n", "10", "--format", "json"]) == 0
+        assert main(["check", "scm", line8_file, "-t", "3", "--field", "2"]) == 0
+        assert main(["check", "char-independence", line8_file, "-t", "3", "--max-n", "10"]) == 0
+        assert main(["ara", line8_file, "-t", "3", "--max-n", "10", "--format", "json"]) == 0

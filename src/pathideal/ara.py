@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
+from . import corpus
 from .errors import BoundExceededError, CheckFailedError
 from .homology import QQ, char_independence_report
 from .ideals import SquarefreeIdeal
 from .pd import pd_line_closed_form, pd_quotient_hochster
+from .trees import path_ideal
 
 DEFAULT_SEARCH_MAX_GENS = 14
 DEFAULT_POINT_CHECK_MAX_N = 20
@@ -95,12 +97,6 @@ def sv_witnesses(partition: SVPartition, ideal: SquarefreeIdeal) -> list[Witness
     return out
 
 
-def line_ideal(n: int, t: int = 3) -> SquarefreeIdeal:
-    """The path ideal of the line graph on vertices 1..n, built directly."""
-    gens = [frozenset(range(i, i + t)) for i in range(1, n - t + 2)]
-    return SquarefreeIdeal(frozenset(range(1, n + 1)), frozenset(gens))
-
-
 def construct_partition_t3(n: int) -> SVPartition:
     """The explicit partition for the path ideal of three-vertex paths on
     the line graph, defined for n >= 3 with n != 2 (mod 4).  The part count
@@ -132,36 +128,88 @@ def construct_partition_t3(n: int) -> SVPartition:
         parts += [frozenset({m(4 * k - 1), m(4 * k + 1)})]
 
     partition = SVPartition(tuple(parts))
-    ok, violation = verify_sv_conditions(partition, line_ideal(n, 3))
+    ok, violation = verify_sv_conditions(partition, path_ideal(corpus.line(n), 3))
     if not ok:
         raise CheckFailedError(f"constructed partition is invalid: {violation}")
     return partition
 
 
-def recognize_line_ideal(ideal: SquarefreeIdeal) -> tuple[int, int] | None:
-    """Detect I_t(L_n) up to relabeling: after sorting the ambient ids, the
-    generator supports must be exactly all consecutive windows of one size.
-    Returns (t, n) or None."""
+def _line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
+    """Detect I_t(L_n) up to relabeling and recover the vertices in path
+    order.  The generators must all have one size t, and consecutive
+    windows along the path share t-1 vertices, so the windows form a chain
+    under that relation, walked from an end.  Each vertex is placed by the
+    first and last window holding it; vertices that no window tells apart
+    are ordered by id, and of the two directions the order that reads
+    smaller is kept, so ids numbered along the path come back sorted.  The
+    windows of the order must then be exactly the generators.  Returns
+    (t, vertices in path order) or None."""
     if ideal.is_zero:
         return None
-    universe = sorted(ideal.ambient)
-    n = len(universe)
-    pos = {v: i + 1 for i, v in enumerate(universe)}
     sizes = {len(g) for g in ideal.gens}
     if len(sizes) != 1:
         return None
     t = sizes.pop()
-    if t < 2 or t > n:
+    n = len(ideal.ambient)
+    gens = sorted(ideal.gens, key=sorted)
+    if t < 2 or len(gens) != n - t + 1:
         return None
-    starts = set()
-    for g in ideal.gens:
-        ps = sorted(pos[v] for v in g)
-        if ps != list(range(ps[0], ps[0] + t)):
+    by_face: dict[frozenset, list[int]] = {}
+    for i, g in enumerate(gens):
+        for v in g:
+            by_face.setdefault(g - {v}, []).append(i)
+    neighbours: list[list[int]] = [[] for _ in gens]
+    for shared in by_face.values():
+        if len(shared) > 2:  # in a line, t-1 vertices lie in at most two windows
             return None
-        starts.add(ps[0])
-    if starts != set(range(1, n - t + 2)):
+        if len(shared) == 2:
+            a, b = shared
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    chain = [min(range(len(gens)), key=lambda i: len(neighbours[i]))]
+    while len(chain) < len(gens):
+        step = [i for i in neighbours[chain[-1]] if i not in chain[-2:]]
+        if len(step) != 1:
+            return None
+        chain.append(step[0])
+
+    def order_along(windows: list[int]) -> list:
+        first: dict = {}
+        last: dict = {}
+        for k, i in enumerate(windows):
+            for v in gens[i]:
+                first.setdefault(v, k)
+                last[v] = k
+        return sorted(first, key=lambda v: (first[v], last[v], v))
+
+    order = min(order_along(chain), order_along(chain[::-1]))
+    windows = {frozenset(order[i:i + t]) for i in range(len(gens))}
+    if len(order) != n or windows != ideal.gens:
         return None
-    return (t, n)
+    return t, order
+
+
+def recognize_line_ideal(ideal: SquarefreeIdeal) -> tuple[int, int] | None:
+    """Detect I_t(L_n) up to relabeling; returns (t, n) or None."""
+    line = _line_order(ideal)
+    return (line[0], len(line[1])) if line else None
+
+
+def line_partition_t3(ideal: SquarefreeIdeal) -> SVPartition | None:
+    """The explicit t=3 partition of ``construct_partition_t3`` on the
+    ideal's own vertices, or None unless the ideal is I_3 of a line."""
+    line = _line_order(ideal)
+    if not line or line[0] != 3:
+        return None
+    order = line[1]
+    canonical = construct_partition_t3(len(order))
+    relabel = dict(enumerate(order, start=1))
+    return SVPartition(
+        tuple(
+            frozenset(frozenset(relabel[x] for x in m) for m in part)
+            for part in canonical.parts
+        )
+    )
 
 
 def good_partition_search(
@@ -181,10 +229,10 @@ def good_partition_search(
     if parts < 1 or parts > len(gens):
         return None
 
-    line = recognize_line_ideal(ideal)
+    line = _line_order(ideal)
     if line:
-        t, _ = line
-        pos = {v: i + 1 for i, v in enumerate(sorted(ideal.ambient))}
+        t, order = line
+        pos = {v: i + 1 for i, v in enumerate(order)}
         start = {g: min(pos[v] for v in g) for g in gens}
         gens = sorted(gens, key=lambda g: start[g])
         size_cap = t // 2 + 1
@@ -299,15 +347,7 @@ def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
 
     partition: SVPartition | None = None
     if line and line[0] == 3 and line[1] % 4 != 2:
-        canonical = construct_partition_t3(line[1])
-        universe = sorted(ideal.ambient)
-        relabel = {i + 1: v for i, v in enumerate(universe)}
-        partition = SVPartition(
-            tuple(
-                frozenset(frozenset(relabel[x] for x in m) for m in part)
-                for part in canonical.parts
-            )
-        )
+        partition = line_partition_t3(ideal)
     elif len(ideal.gens) <= DEFAULT_SEARCH_MAX_GENS and lower >= 1:
         partition = good_partition_search(ideal, lower)
 

@@ -167,11 +167,10 @@ def cmd_ara(args: argparse.Namespace) -> int:
     tree = _load_tree(args.tree_file)
     ideal = path_ideal(tree, args.t)
     if args.construct_t3:
-        line = ara_mod.recognize_line_ideal(ideal)
-        if not line or line[0] != 3:
+        partition = ara_mod.line_partition_t3(ideal)
+        if partition is None:
             print("the explicit construction needs the path ideal of a line graph with t=3", file=sys.stderr)
             return 2
-        partition = ara_mod.construct_partition_t3(line[1])
         _emit({"partition": partition.sorted_parts()}, args)
         return 0
     bounds = ara_mod.ara_bounds(ideal, max_n=args.max_n)

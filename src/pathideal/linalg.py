@@ -1,10 +1,11 @@
 """Exact matrix rank over the rationals and over prime fields.
 
-Matrices arrive as sparse rows (dict column -> nonzero int).  Over GF(p)
-the rank comes from sparse modular elimination.  Over the rationals the
-elimination is fraction-free: it pivots on +-1 entries only (no division)
-and hands any leftover core without unit entries to a dense Bareiss
-elimination.  No floating point is used anywhere.
+Matrices arrive as sparse rows (dict column -> int).  One sparse
+elimination with min-degree pivoting serves every field and every matrix
+size.  Over GF(p) it reduces entries mod p and divides by the pivot.  Over
+the rationals it is fraction-free: it pivots on +-1 entries only (no
+division) and hands any leftover core without unit entries to a dense
+Bareiss elimination.  No floating point is used anywhere.
 """
 from __future__ import annotations
 
@@ -37,95 +38,19 @@ def bareiss_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _dense_rank_modp(m: list[list[int]], p: int) -> int:
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            f = m[i][c] * inv % p
-            if f:
-                row_i = m[i]
-                for j in range(c, ncols):
-                    row_i[j] = (row_i[j] - f * row_r[j]) % p
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    return rank
-
-
-def _dense_rank_rationals(m: list[list[int]]) -> int:
-    """Integer elimination pivoting on +-1 entries column by column; columns
-    without a unit pivot are deferred to a Bareiss core."""
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    r = 0
-    stuck: list[int] = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] in (1, -1)), None)
-        if piv is None:
-            if any(m[i][c] for i in range(r, nrows)):
-                stuck.append(c)
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        row_r = m[r]
-        start = stuck[0] if stuck else c  # deferred columns must stay current
-        for i in range(r + 1, nrows):
-            f = m[i][c] * pv
-            if f:
-                row_i = m[i]
-                for j in range(start, ncols):
-                    row_i[j] -= f * row_r[j]
-        rank += 1
-        r += 1
-        if r == nrows:
-            break
-    if r < nrows and stuck:
-        core = [[m[i][c] for c in stuck] for i in range(r, nrows)]
-        if any(any(row) for row in core):
-            rank += bareiss_rank(core)
-    return rank
-
-
-_DENSE_CELL_LIMIT = 1024
-
-
 def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> int:
     """Rank of a sparse integer matrix over GF(p), or over Q when p is None.
 
     Pivots are chosen by a lazy min-degree queue over the columns (fewest
-    nonzeros first, shortest row within the column).  The input rows are
-    consumed.
+    nonzeros first, shortest row within the column).  Over Q a column with
+    no +-1 entry is deferred and retried after later pivots; whatever is
+    left goes to ``bareiss_rank``.  The input rows are copied, not changed.
     """
     rationals = p is None
     if rationals:
         rows = [{c: v for c, v in row.items() if v} for row in rows]
     else:
         rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
-
-    live_rows = [row for row in rows if row]
-    all_cols = sorted({c for row in live_rows for c in row})
-    if len(live_rows) * len(all_cols) <= _DENSE_CELL_LIMIT:
-        if not live_rows:
-            return 0
-        cindex = {c: j for j, c in enumerate(all_cols)}
-        dense = [[0] * len(all_cols) for _ in live_rows]
-        for i, row in enumerate(live_rows):
-            for c, v in row.items():
-                dense[i][cindex[c]] = v
-        return _dense_rank_modp(dense, p) if p is not None else _dense_rank_rationals(dense)
 
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):

@@ -236,13 +236,13 @@ def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list
     def c_no_good_partition():
         for n in (6, 10):
             _require(ara_mod.no_good_partition_inequality(n, 3), f"n={n}")
-            ideal = ara_mod.line_ideal(n, 3)
+            ideal = path_ideal(line(n), 3)
             found = ara_mod.good_partition_search(ideal, pd_line_closed_form(n, 3))
             _require(found is None, f"n={n}: unexpected partition {found}")
 
     def c_sv_structure():
         for n in range(4, 11):
-            ideal = ara_mod.line_ideal(n, 3)
+            ideal = path_ideal(line(n), 3)
             parts = pd_line_closed_form(n, 3)
             found = ara_mod.good_partition_search(ideal, parts)
             if found is None:

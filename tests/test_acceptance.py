@@ -31,7 +31,6 @@ from pathideal import (
     verify_betti_splitting,
     verify_sv_conditions,
 )
-from pathideal.ara import line_ideal
 from pathideal.corpus import (
     corpus_ideals,
     four_cycle_edge_ideal,
@@ -186,14 +185,14 @@ def test_criterion_08_arithmetical_rank_t3():
     try:
         for n in (4, 5, 7, 8, 9, 11, 12, 13):
             partition = construct_partition_t3(n)
-            ideal = line_ideal(n, 3)
+            ideal = path_ideal(line(n), 3)
             ok, violation = verify_sv_conditions(partition, ideal)
             assert ok, (n, violation)
             assert len(partition.parts) == pd_line_closed_form(n, 3), n
         search_started = time.time()
         for n in (6, 10):
             parts = pd_line_closed_form(n, 3)
-            assert good_partition_search(line_ideal(n, 3), parts) is None, n
+            assert good_partition_search(path_ideal(line(n), 3), parts) is None, n
             assert no_good_partition_inequality(n, 3), n
         assert time.time() - search_started < 60
     except AssertionError:

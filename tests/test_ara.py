@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathideal import (
     BoundExceededError,
@@ -14,12 +15,19 @@ from pathideal import (
     sv_witnesses,
     verify_sv_conditions,
 )
-from pathideal.ara import line_ideal, recognize_line_ideal, singleton_partition
-from pathideal.corpus import line
+from pathideal.ara import _line_order, recognize_line_ideal, singleton_partition
+from pathideal.corpus import line, random_tree
+from pathideal.pd import is_line
+from pathideal.trees import RootedTree
 
 
 def m3(i):
     return frozenset({i, i + 1, i + 2})
+
+
+def line_through(ids):
+    """The line graph visiting ``ids`` in order, rooted at the first."""
+    return RootedTree.from_edges(zip(ids, ids[1:]), root=ids[0])
 
 
 class TestConditions:
@@ -32,7 +40,7 @@ class TestConditions:
                 frozenset({m3(5)}),
             )
         )
-        ok, violation = verify_sv_conditions(partition, line_ideal(8, 3))
+        ok, violation = verify_sv_conditions(partition, path_ideal(line(8), 3))
         assert ok and violation is None
 
     def test_adjacent_generators_in_one_part(self):
@@ -45,7 +53,7 @@ class TestConditions:
                 frozenset({m3(6)}),
             )
         )
-        ok, violation = verify_sv_conditions(partition, line_ideal(8, 3))
+        ok, violation = verify_sv_conditions(partition, path_ideal(line(8), 3))
         assert not ok
         assert violation[0] == "condition(3)"
 
@@ -56,18 +64,18 @@ class TestConditions:
 
     def test_coverage_violation(self):
         partition = SVPartition((frozenset({m3(1)}),))
-        ok, violation = verify_sv_conditions(partition, line_ideal(5, 3))
+        ok, violation = verify_sv_conditions(partition, path_ideal(line(5), 3))
         assert not ok and violation[0] == "condition(1)"
 
     def test_first_part_size(self):
         partition = SVPartition((frozenset({m3(1), m3(3)}), frozenset({m3(2)})))
-        ok, violation = verify_sv_conditions(partition, line_ideal(5, 3))
+        ok, violation = verify_sv_conditions(partition, path_ideal(line(5), 3))
         assert not ok and violation[0] == "condition(2)"
 
 
 class TestWitnesses:
     def test_counts(self):
-        ideal = line_ideal(8, 3)
+        ideal = path_ideal(line(8), 3)
         witnesses = sv_witnesses(construct_partition_t3(8), ideal)
         assert len(witnesses) == 4
         assert witnesses[0].terms == ((m3(2), 1),)
@@ -81,7 +89,7 @@ class TestWitnesses:
         assert w.terms == ((frozenset({1, 2, 3}), 2),)
 
     def test_invalid_partition_rejected(self):
-        ideal = line_ideal(5, 3)
+        ideal = path_ideal(line(5), 3)
         with pytest.raises(ValueError):
             sv_witnesses(SVPartition((frozenset({m3(1)}),)), ideal)
 
@@ -120,12 +128,12 @@ class TestSearch:
     def test_none_for_residue_two(self):
         for n in (6, 10):
             parts = pd_line_closed_form(n, 3)
-            assert good_partition_search(line_ideal(n, 3), parts) is None
+            assert good_partition_search(path_ideal(line(n), 3), parts) is None
 
     def test_finds_for_n8(self):
-        found = good_partition_search(line_ideal(8, 3), 4)
+        found = good_partition_search(path_ideal(line(8), 3), 4)
         assert found is not None
-        assert verify_sv_conditions(found, line_ideal(8, 3)) == (True, None)
+        assert verify_sv_conditions(found, path_ideal(line(8), 3)) == (True, None)
 
     def test_edge_ideal_line4(self):
         ideal = path_ideal(line(4), 2)
@@ -135,7 +143,7 @@ class TestSearch:
 
     def test_structure_lemma_on_found_partitions(self):
         for n in (7, 8, 9, 11):
-            ideal = line_ideal(n, 3)
+            ideal = path_ideal(line(n), 3)
             found = good_partition_search(ideal, pd_line_closed_form(n, 3))
             assert found is not None
             for part in found.parts[1:]:
@@ -146,7 +154,16 @@ class TestSearch:
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            good_partition_search(line_ideal(20, 3), 4, max_gens=10)
+            good_partition_search(path_ideal(line(20), 3), 4, max_gens=10)
+
+    def test_relabelled_lines(self):
+        # the window pruning must follow the path, not the sorted ids
+        ten = path_ideal(line_through([4, 9, 1, 7, 10, 2, 6, 3, 8, 5]), 3)
+        assert good_partition_search(ten, pd_line_closed_form(10, 3)) is None
+        eight = path_ideal(line_through([4, 7, 2, 6, 8, 1, 5, 3]), 3)
+        found = good_partition_search(eight, 4)
+        assert found is not None and len(found.parts) == 4
+        assert verify_sv_conditions(found, eight) == (True, None)
 
 
 class TestInequality:
@@ -168,6 +185,34 @@ class TestRecognition:
         from pathideal.corpus import twelve_vertex_tree
 
         assert recognize_line_ideal(path_ideal(twelve_vertex_tree(), 3)) is None
+
+    def test_line_not_numbered_along_the_path(self):
+        # 2 -> 1 -> 3 -> 4 -> ... -> 20: sorted ids are not the path order
+        tree = line_through([2, 1] + list(range(3, 21)))
+        assert recognize_line_ideal(path_ideal(tree, 3)) == (3, 20)
+
+    def test_star_is_not_a_line(self):
+        ideal = make_ideal([{1, 2}, {1, 3}, {1, 4}], ambient={1, 2, 3, 4})
+        assert recognize_line_ideal(ideal) is None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(2, 5), st.permutations(range(1, 13)), st.integers(0, 12))
+    def test_randomly_labelled_lines(self, t, ids, drop):
+        ids = ids[: max(t, 12 - drop)]
+        assert recognize_line_ideal(path_ideal(line_through(ids), t)) == (t, len(ids))
+
+    def test_recovered_order_on_random_trees(self):
+        for seed in range(200):
+            tree = random_tree(seed, 9)
+            for t in (2, 3, 4):
+                ideal = path_ideal(tree, t)
+                found = _line_order(ideal)
+                if is_line(tree):
+                    path = sorted(tree.vertices, key=tree.level)
+                    assert found == (t, min(path, path[::-1]))
+                elif found:
+                    # e.g. the edge ideal of a path rooted inside it
+                    assert path_ideal(line_through(found[1]), t) == ideal
 
 
 class TestBounds:
@@ -198,7 +243,7 @@ class TestBounds:
 
 class TestPointCheck:
     def test_valid_witnesses(self):
-        ideal = line_ideal(8, 3)
+        ideal = path_ideal(line(8), 3)
         witnesses = sv_witnesses(construct_partition_t3(8), ideal)
         assert radical_point_check(witnesses, ideal)
 
@@ -215,7 +260,7 @@ class TestPointCheck:
         assert not radical_point_check(broken, ideal)
 
     def test_bound(self):
-        ideal = line_ideal(25, 3)
+        ideal = path_ideal(line(25), 3)
         with pytest.raises(BoundExceededError):
             radical_point_check([], ideal, max_n=20)
 

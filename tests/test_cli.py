@@ -4,7 +4,8 @@ import pytest
 
 from pathideal.cli import main
 from pathideal.corpus import line, twelve_vertex_tree
-from pathideal.trees import format_tree
+from pathideal.ara import partition_from_jsonable, verify_sv_conditions
+from pathideal.trees import RootedTree, format_tree, path_ideal
 
 
 @pytest.fixture
@@ -139,6 +140,23 @@ class TestAra:
         assert main(["ara", line8_file, "-t", "3", "--point-check", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["point_check"] is True
+
+    def test_construct_t3_uses_tree_ids(self, tmp_path, capsys):
+        tree = RootedTree.from_edges([(10, 20), (20, 30), (30, 40), (40, 50)], root=10)
+        path = tmp_path / "tens.tree"
+        path.write_text(format_tree(tree))
+        assert main(["ara", str(path), "-t", "3", "--construct-t3", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        partition = partition_from_jsonable({"parts": data["partition"]})
+        assert verify_sv_conditions(partition, path_ideal(tree, 3)) == (True, None)
+
+    def test_line_not_numbered_along_the_path(self, tmp_path, capsys):
+        ids = [2, 1] + list(range(3, 21))
+        path = tmp_path / "l20.tree"
+        path.write_text(format_tree(RootedTree.from_edges(zip(ids, ids[1:]), root=2)))
+        assert main(["ara", str(path), "-t", "3", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["exact"] and data["lower"] == data["upper"] == 10
 
 
 class TestAraSearch:

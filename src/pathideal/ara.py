@@ -197,7 +197,8 @@ def recognize_line_ideal(ideal: SquarefreeIdeal) -> tuple[int, int] | None:
 
 def line_partition_t3(ideal: SquarefreeIdeal) -> SVPartition | None:
     """The explicit t=3 partition of ``construct_partition_t3`` on the
-    ideal's own vertices, or None unless the ideal is I_3 of a line."""
+    ideal's own vertices, or None unless the ideal is I_3 of a line.
+    Like the construction, raises ValueError for n = 2 (mod 4)."""
     line = _line_order(ideal)
     if not line or line[0] != 3:
         return None

@@ -30,10 +30,10 @@ def identity(n):
 
 @st.composite
 def integer_matrices(draw):
-    # shapes on both sides of 1,024 cells (at most 32 x 32, or at least
-    # 33 x 33); one byte per entry (drawn at once, which keeps generation
-    # fast): below 128 it maps onto -3..3, otherwise to 0, so sparse
-    # boundary-like matrices are common
+    # small shapes (at most 32 x 32) and large ones (at least 33 x 33); one
+    # byte per entry (drawn at once, which keeps generation fast): below 128
+    # it maps onto -3..3, otherwise to 0, so sparse boundary-like matrices
+    # are common
     large = draw(st.booleans())
     nrows = draw(st.integers(33, 40) if large else st.integers(0, 32))
     ncols = draw(st.integers(33, 40) if large else st.integers(1, 32))
@@ -69,7 +69,7 @@ FIXED = {
 def test_fixed_cases(name, p):
     matrix = FIXED[name]
     assert sparse_rank(sparse(matrix), p) == dense_rank(matrix, p)
-    # the same block next to a 40 x 40 identity exceeds 1,024 cells
+    # the same block inside a larger, sparser matrix
     padded = block_diag(matrix, identity(40))
     assert sparse_rank(sparse(padded), p) == dense_rank(padded, p)
 

@@ -18,7 +18,7 @@ from . import corpus
 from .errors import BoundExceededError, CheckFailedError
 from .homology import QQ, char_independence_report
 from .ideals import SquarefreeIdeal
-from .pd import pd_line_closed_form, pd_quotient_hochster
+from .pd import line_order, pd_line_closed_form, pd_quotient_hochster
 from .trees import path_ideal
 
 DEFAULT_SEARCH_MAX_GENS = 14
@@ -134,64 +134,9 @@ def construct_partition_t3(n: int) -> SVPartition:
     return partition
 
 
-def _line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
-    """Detect I_t(L_n) up to relabeling and recover the vertices in path
-    order.  The generators must all have one size t, and consecutive
-    windows along the path share t-1 vertices, so the windows form a chain
-    under that relation, walked from an end.  Each vertex is placed by the
-    first and last window holding it; vertices that no window tells apart
-    are ordered by id, and of the two directions the order that reads
-    smaller is kept, so ids numbered along the path come back sorted.  The
-    windows of the order must then be exactly the generators.  Returns
-    (t, vertices in path order) or None."""
-    if ideal.is_zero:
-        return None
-    sizes = {len(g) for g in ideal.gens}
-    if len(sizes) != 1:
-        return None
-    t = sizes.pop()
-    n = len(ideal.ambient)
-    gens = sorted(ideal.gens, key=sorted)
-    if t < 2 or len(gens) != n - t + 1:
-        return None
-    by_face: dict[frozenset, list[int]] = {}
-    for i, g in enumerate(gens):
-        for v in g:
-            by_face.setdefault(g - {v}, []).append(i)
-    neighbours: list[list[int]] = [[] for _ in gens]
-    for shared in by_face.values():
-        if len(shared) > 2:  # in a line, t-1 vertices lie in at most two windows
-            return None
-        if len(shared) == 2:
-            a, b = shared
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-    chain = [min(range(len(gens)), key=lambda i: len(neighbours[i]))]
-    while len(chain) < len(gens):
-        step = [i for i in neighbours[chain[-1]] if i not in chain[-2:]]
-        if len(step) != 1:
-            return None
-        chain.append(step[0])
-
-    def order_along(windows: list[int]) -> list:
-        first: dict = {}
-        last: dict = {}
-        for k, i in enumerate(windows):
-            for v in gens[i]:
-                first.setdefault(v, k)
-                last[v] = k
-        return sorted(first, key=lambda v: (first[v], last[v], v))
-
-    order = min(order_along(chain), order_along(chain[::-1]))
-    windows = {frozenset(order[i:i + t]) for i in range(len(gens))}
-    if len(order) != n or windows != ideal.gens:
-        return None
-    return t, order
-
-
 def recognize_line_ideal(ideal: SquarefreeIdeal) -> tuple[int, int] | None:
     """Detect I_t(L_n) up to relabeling; returns (t, n) or None."""
-    line = _line_order(ideal)
+    line = line_order(ideal)
     return (line[0], len(line[1])) if line else None
 
 
@@ -199,7 +144,7 @@ def line_partition_t3(ideal: SquarefreeIdeal) -> SVPartition | None:
     """The explicit t=3 partition of ``construct_partition_t3`` on the
     ideal's own vertices, or None unless the ideal is I_3 of a line.
     Like the construction, raises ValueError for n = 2 (mod 4)."""
-    line = _line_order(ideal)
+    line = line_order(ideal)
     if not line or line[0] != 3:
         return None
     order = line[1]
@@ -230,7 +175,7 @@ def good_partition_search(
     if parts < 1 or parts > len(gens):
         return None
 
-    line = _line_order(ideal)
+    line = line_order(ideal)
     if line:
         t, order = line
         pos = {v: i + 1 for i, v in enumerate(order)}

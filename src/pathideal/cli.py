@@ -22,7 +22,7 @@ from .homology import (
     is_sequentially_cm,
 )
 from .ideals import ideal_to_json
-from .pd import pd_auto
+from .pd import METHODS, pd_auto
 from .simplicial import facet_complex, is_properly_connected, is_simplicial_tree
 from .trees import TreeError, enumerate_paths, parse_tree, path_ideal
 from .verify import run_verification
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     betti_p.add_argument("--subject", choices=("ideal", "quotient"), default="quotient")
 
     pd_p = command(sub, "pd", cmd_pd, t, fmt, field, max_n, help="projective dimension of the quotient")
-    pd_p.add_argument("--method", choices=("auto", "closed-form", "recursion", "hochster"), default="auto")
+    pd_p.add_argument("--method", choices=("auto", *METHODS), default="auto")
     pd_p.add_argument("--verify", action="store_true", help="run all applicable methods and compare")
 
     check_p = sub.add_parser("check", help="boolean structure checks")

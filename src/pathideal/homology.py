@@ -25,7 +25,6 @@ speed, never results.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 
 from .bits import bit_index, iter_bits, submasks, to_mask
@@ -36,7 +35,6 @@ from .simplicial import Complex, _facet_masks, is_pure, make_complex
 
 DEFAULT_HOCHSTER_MAX_N = 14
 DEFAULT_SR_MAX_N = 16
-MAX_N_ENV_VAR = "PATHIDEAL_MAX_N"
 
 
 def _is_prime(p: int) -> bool:
@@ -79,13 +77,6 @@ DEFAULT_FIELDS = (QQ, gf(2), gf(3), gf(5))
 
 # counters for the exactness checks performed alongside every homology run
 assertion_stats = {"boundary_squared": 0, "euler": 0}
-
-
-def hochster_max_n(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_N_ENV_VAR)
-    return int(env) if env else DEFAULT_HOCHSTER_MAX_N
 
 
 def _sign(k: int) -> int:
@@ -231,15 +222,22 @@ def _enumerate_faces(universe_mask: int, gen_masks) -> set[int]:
     return faces
 
 
+def _generator_masks(ideal: SquarefreeIdeal, max_n: int, bound_name: str) -> tuple[list, list[int]]:
+    """The sorted ambient universe and the generators as bitmasks over it;
+    raises BoundExceededError when the universe has more than max_n
+    vertices."""
+    universe = sorted(ideal.ambient)
+    if len(universe) > max_n:
+        raise BoundExceededError(f"{len(universe)} vertices exceeds the {bound_name} {max_n}")
+    idx = bit_index(universe)
+    return universe, [to_mask(g, idx) for g in ideal.gens]
+
+
 def stanley_reisner_complex(ideal: SquarefreeIdeal, max_n: int = DEFAULT_SR_MAX_N) -> Complex:
     """Faces are the subsets of the ambient universe containing no
     generator's support; returned in facet representation."""
-    universe = sorted(ideal.ambient)
+    universe, gens = _generator_masks(ideal, max_n, "Stanley-Reisner bound")
     n = len(universe)
-    if n > max_n:
-        raise BoundExceededError(f"{n} vertices exceeds the Stanley-Reisner bound {max_n}")
-    idx = bit_index(ideal.ambient)
-    gens = [to_mask(g, idx) for g in ideal.gens]
     faces = _enumerate_faces((1 << n) - 1, gens)
     facets = []
     for m in faces:
@@ -332,19 +330,15 @@ def betti_tables_hochster(
     over the connected pieces of its generators, so homology is computed
     per piece (with caching) and convolved.
     """
-    bound = hochster_max_n(max_n)
-    universe = sorted(ideal.ambient)
-    n = len(universe)
-    if n > bound:
-        raise BoundExceededError(f"{n} vertices exceeds the Hochster bound {bound}")
+    universe, gens = _generator_masks(
+        ideal, DEFAULT_HOCHSTER_MAX_N if max_n is None else max_n, "Hochster bound"
+    )
     fields = tuple(fields)
     tables = {f: BettiTable({}, "ideal", f) for f in fields}
     if ideal.is_zero:
         return tables
-    idx = bit_index(ideal.ambient)
-    gens = [to_mask(g, idx) for g in ideal.gens]
 
-    for Y in range(1 << n):
+    for Y in range(1 << len(universe)):
         gens_in = [g for g in gens if g & Y == g]
         covered = 0
         for g in gens_in:
@@ -440,13 +434,8 @@ def is_sequentially_cm(
     Cohen-Macaulay over the field."""
     if ideal.is_zero:
         return True
-    universe = sorted(ideal.ambient)
-    n = len(universe)
-    if n > max_n:
-        raise BoundExceededError(f"{n} vertices exceeds the bound {max_n}")
-    idx = bit_index(ideal.ambient)
-    gens = [to_mask(g, idx) for g in ideal.gens]
-    faces = _enumerate_faces((1 << n) - 1, gens)
+    universe, gens = _generator_masks(ideal, max_n, "bound")
+    faces = _enumerate_faces((1 << len(universe)) - 1, gens)
     if not faces:
         return True
     top = max(m.bit_count() for m in faces) - 1

@@ -1,8 +1,8 @@
 """Projective dimension of path-ideal quotients by three routes.
 
-* a closed form when the tree is a line graph;
+* a closed form when the path ideal is that of a line graph;
 * a leaf-split recursion, valid when the facet complex is
-  properly-connected at every step;
+  properly-connected, checked once, since every piece inherits it;
 * the Hochster-table route, which works unconditionally within bounds.
 
 All values refer to pd(R/I) for the quotient.  The recursion on forests
@@ -45,6 +45,61 @@ def pd_line_closed_form(n: int, t: int) -> int:
     if d == t:
         return (2 * n - (t - 1)) // (t + 1)
     return 2 * (n - d) // (t + 1)
+
+
+def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
+    """Detect I_t(L_n) up to relabeling and recover the vertices in path
+    order.  The generators must all have one size t, and consecutive
+    windows along the path share t-1 vertices, so the windows form a chain
+    under that relation, walked from an end.  Each vertex is placed by the
+    first and last window holding it; vertices that no window tells apart
+    are ordered by id, and of the two directions the order that reads
+    smaller is kept, so ids numbered along the path come back sorted.  The
+    windows of the order must then be exactly the generators.  Returns
+    (t, vertices in path order) or None."""
+    if ideal.is_zero:
+        return None
+    sizes = {len(g) for g in ideal.gens}
+    if len(sizes) != 1:
+        return None
+    t = sizes.pop()
+    n = len(ideal.ambient)
+    gens = sorted(ideal.gens, key=sorted)
+    if t < 2 or len(gens) != n - t + 1:
+        return None
+    by_face: dict[frozenset, list[int]] = {}
+    for i, g in enumerate(gens):
+        for v in g:
+            by_face.setdefault(g - {v}, []).append(i)
+    neighbours: list[list[int]] = [[] for _ in gens]
+    for shared in by_face.values():
+        if len(shared) > 2:  # in a line, t-1 vertices lie in at most two windows
+            return None
+        if len(shared) == 2:
+            a, b = shared
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+    chain = [min(range(len(gens)), key=lambda i: len(neighbours[i]))]
+    while len(chain) < len(gens):
+        step = [i for i in neighbours[chain[-1]] if i not in chain[-2:]]
+        if len(step) != 1:
+            return None
+        chain.append(step[0])
+
+    def order_along(windows: list[int]) -> list:
+        first: dict = {}
+        last: dict = {}
+        for k, i in enumerate(windows):
+            for v in gens[i]:
+                first.setdefault(v, k)
+                last[v] = k
+        return sorted(first, key=lambda v: (first[v], last[v], v))
+
+    order = min(order_along(chain), order_along(chain[::-1]))
+    windows = {frozenset(order[i:i + t]) for i in range(len(gens))}
+    if len(order) != n or windows != ideal.gens:
+        return None
+    return t, order
 
 
 def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
@@ -130,16 +185,15 @@ def _pd_forest(forest_or_tree: TreeOrForest, t: int, memo: dict, trace: list | N
 
 
 def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, path: tuple | None = None) -> int:
-    """One leaf split, recursing on both pieces.  ``path`` prescribes the
-    first split generator (default: leaf_generator); callers that prescribe
-    it pass a fresh memo, so that a memo hit cannot skip the prescribed
-    split and its value is not reused for other occurrences of the shape."""
+    """One leaf split, recursing on both pieces; the tree must be a piece
+    of a forest that passed pd_recursive's precondition check.  ``path``
+    prescribes the first split generator (default: leaf_generator); callers
+    that prescribe it pass a fresh memo, so that a memo hit cannot skip the
+    prescribed split and its value is not reused for other occurrences of
+    the shape."""
     key = (_ahu_key(tree), t)
     if key in memo:
         return memo[key]
-    ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
-    if not ok:
-        raise NotProperlyConnectedError(pair)
     sd = splitting_data(tree, t, path)
     if trace is not None:
         trace.append(
@@ -159,9 +213,23 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, path: tup
 
 
 def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
-    """pd(R/I_t) by leaf splitting.  Raises NotProperlyConnectedError as
-    soon as any component along the recursion fails the precondition; the
-    caller should then fall back to the Hochster route."""
+    """pd(R/I_t) by leaf splitting.  Raises NotProperlyConnectedError,
+    before any split, for the first component of ``g`` whose facet complex
+    is not properly-connected; the caller should then fall back to the
+    Hochster route.
+
+    The precondition is checked once per component, since every piece of
+    the recursion inherits it.  A proper chain from facet F to facet G of
+    length exactly t - |F & G| must, at every step, drop a vertex outside G
+    and add a vertex of G, so every facet on the chain lies in F | G.  Every
+    piece is a vertex-deletion subforest, whose facets are the tree's paths
+    that avoid the deleted vertices; so for two facets of a piece the chain
+    survives in the piece.  An exhaustive test over small trees checks the
+    inheritance."""
+    for tree in component_trees(g):
+        ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
+        if not ok:
+            raise NotProperlyConnectedError(pair)
     return _pd_forest(g, t, {}, trace)
 
 
@@ -196,10 +264,7 @@ def verify_betti_splitting(
     return True
 
 
-def is_line(tree: RootedTree) -> bool:
-    """A line graph directed away from one end: every vertex has at most
-    one child."""
-    return all(len(c) <= 1 for c in tree.children.values())
+METHODS = ("closed-form", "recursion", "hochster")
 
 
 @dataclass
@@ -219,55 +284,46 @@ def pd_auto(
     verify: bool = False,
     max_n: int | None = None,
 ) -> PdReport:
-    """Dispatch: closed form for line graphs, leaf-split recursion for
-    properly-connected complexes, Hochster tables otherwise.  With
-    ``verify`` every applicable method runs and must agree."""
+    """Dispatch: closed form for line-graph path ideals, leaf-split
+    recursion for properly-connected complexes, Hochster tables otherwise.
+    With ``verify`` every applicable method runs and must agree."""
+    if method != "auto" and method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     comps = component_trees(g)
     ideal = path_ideal(g, t)
-    report = PdReport(value=0, method="zero")
     if ideal.is_zero:
-        report.values["zero"] = 0
-        if method in ("closed-form", "recursion", "hochster"):
-            report.method = method
-        return report
+        return PdReport(value=0, method="zero" if method == "auto" else method, values={"zero": 0})
 
     values: dict[str, int] = {}
     notes: list[str] = []
     trace: list = []
-
-    line_n = comps[0].n if len(comps) == 1 and is_line(comps[0]) else None
+    line = line_order(ideal)
 
     def run(name: str) -> int:
         if name == "closed-form":
-            if line_n is None:
+            if line is None:
                 raise ValueError("closed form applies only to a single line graph")
-            return pd_line_closed_form(line_n, t)
+            return pd_line_closed_form(len(line[1]), t)
         if name == "recursion":
             return pd_recursive(g, t, trace=trace)
-        if name == "hochster":
-            return pd_quotient_hochster(ideal, field, max_n)
-        raise ValueError(f"unknown method {name!r}")
+        return pd_quotient_hochster(ideal, field, max_n)
 
     if method != "auto":
-        value = run(method)
-        values[method] = value
+        values[method] = run(method)
         chosen = method
     else:
-        order = (["closed-form"] if line_n is not None else []) + ["recursion", "hochster"]
-        chosen = None
-        for name in order:
+        # hochster, last, returns or raises, so the loop always chooses
+        order = (["closed-form"] if line is not None else []) + ["recursion", "hochster"]
+        for chosen in order:
             try:
-                values[name] = run(name)
-                chosen = name
+                values[chosen] = run(chosen)
                 break
             except NotProperlyConnectedError as exc:
                 notes.append(f"recursion inapplicable: {exc}")
-        if chosen is None:
-            raise RuntimeError("no projective-dimension method applied")
-        value = values[chosen]
+    value = values[chosen]
 
     if verify:
-        if line_n is not None and "closed-form" not in values:
+        if line is not None and "closed-form" not in values:
             values["closed-form"] = run("closed-form")
         if "recursion" not in values:
             try:
@@ -285,14 +341,10 @@ def pd_auto(
                 p for p in enumerate_paths(tree, t) if tree.degree(p[-1]) == 1
             ]
             for alt in alternatives:
-                try:
-                    alt_value = _pd_tree(tree, t, {}, None, alt)
-                except NotProperlyConnectedError:
-                    continue
+                alt_value = _pd_tree(tree, t, {}, None, alt)
                 if alt_value != values["recursion"]:
                     raise RuntimeError(
                         f"recursion value depends on the split choice: {alt} gives {alt_value}"
                     )
 
     return PdReport(value=value, method=chosen, values=values, trace=trace, notes=notes)
-

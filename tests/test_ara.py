@@ -15,9 +15,9 @@ from pathideal import (
     sv_witnesses,
     verify_sv_conditions,
 )
-from pathideal.ara import _line_order, recognize_line_ideal, singleton_partition
+from pathideal.ara import recognize_line_ideal, singleton_partition
 from pathideal.corpus import line, random_tree
-from pathideal.pd import is_line
+from pathideal.pd import line_order
 from pathideal.trees import RootedTree
 
 
@@ -206,8 +206,8 @@ class TestRecognition:
             tree = random_tree(seed, 9)
             for t in (2, 3, 4):
                 ideal = path_ideal(tree, t)
-                found = _line_order(ideal)
-                if is_line(tree):
+                found = line_order(ideal)
+                if all(len(c) <= 1 for c in tree.children.values()):
                     path = sorted(tree.vertices, key=tree.level)
                     assert found == (t, min(path, path[::-1]))
                 elif found:

@@ -278,16 +278,22 @@ class TestSequentiallyCM:
 
 
 class TestBounds:
-    def test_env_var_overrides_hochster_bound(self, monkeypatch):
-        monkeypatch.setenv("PATHIDEAL_MAX_N", "3")
-        with pytest.raises(BoundExceededError):
-            betti_table_hochster(path_ideal(line(5), 2), QQ)
-        monkeypatch.setenv("PATHIDEAL_MAX_N", "6")
-        assert betti_table_hochster(path_ideal(line(5), 2), QQ).entries
+    def test_explicit_max_n_below_n_raises(self):
+        with pytest.raises(BoundExceededError, match="^5 vertices exceeds the Hochster bound 4$"):
+            betti_table_hochster(path_ideal(line(5), 2), QQ, max_n=4)
+        assert betti_table_hochster(path_ideal(line(5), 2), QQ, max_n=5).entries
 
-    def test_explicit_max_n_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PATHIDEAL_MAX_N", "3")
-        assert betti_table_hochster(path_ideal(line(5), 2), QQ, max_n=10).entries
+    def test_default_hochster_bound_is_14(self):
+        assert homology.DEFAULT_HOCHSTER_MAX_N == 14
+        with pytest.raises(BoundExceededError, match="^15 vertices exceeds the Hochster bound 14$"):
+            betti_table_hochster(path_ideal(line(15), 2), QQ)
+
+    def test_bound_messages(self):
+        ideal = path_ideal(line(17), 2)
+        with pytest.raises(BoundExceededError, match="^17 vertices exceeds the Stanley-Reisner bound 16$"):
+            stanley_reisner_complex(ideal)
+        with pytest.raises(BoundExceededError, match="^17 vertices exceeds the bound 16$"):
+            is_sequentially_cm(ideal)
 
 
 class TestExactnessChecks:

@@ -14,9 +14,15 @@ from pathideal import (
     QQ,
     gf,
 )
-from pathideal.corpus import line, random_tree, twelve_vertex_tree
-from pathideal.pd import is_line
-from pathideal.trees import delete_vertices
+from pathideal import pd
+from pathideal.corpus import line, random_tree, reroot, twelve_vertex_tree
+from pathideal.pd import line_order
+from pathideal.simplicial import facet_complex, is_properly_connected
+from pathideal.trees import Forest, RootedTree, component_trees, delete_vertices
+
+
+def shifted(tree, by):
+    return RootedTree.from_edges(((u + by, v + by) for u, v in tree.edges()), root=tree.root + by)
 
 
 class TestClosedForm:
@@ -125,6 +131,51 @@ class TestRecursion:
         pd_recursive(line(6), 2, trace=trace)
         assert trace and trace[0].path == (5, 6)
 
+    def test_one_check_per_input_component(self, monkeypatch):
+        calls = []
+
+        def counting(cx):
+            calls.append(cx)
+            return is_properly_connected(cx)
+
+        monkeypatch.setattr(pd, "is_properly_connected", counting)
+        assert pd_recursive(line(30), 3) == pd_line_closed_form(30, 3)
+        assert len(calls) == 1
+        calls.clear()
+        pd_recursive(delete_vertices(line(20), {7}), 3)
+        assert len(calls) == 2
+
+    def test_forest_fails_before_any_split(self):
+        forest = Forest((line(6), shifted(twelve_vertex_tree(), 100)))
+        trace = []
+        with pytest.raises(NotProperlyConnectedError):
+            pd_recursive(forest, 3, trace=trace)
+        assert trace == []
+
+
+class TestInheritance:
+    def test_pieces_inherit_properly_connected(self):
+        """Every component of every vertex-deletion subforest of a
+        properly-connected tree is properly-connected, which is why
+        pd_recursive checks its input once."""
+
+        def properly_connected(g, t):
+            return is_properly_connected(facet_complex(path_ideal(g, t)))[0]
+
+        checked = 0
+        for seed in range(120):
+            tree = random_tree(seed, 3 + seed % 6)
+            vertices = tree.vertices
+            for t in (2, 3, 4, 5):
+                if not properly_connected(tree, t):
+                    continue
+                for mask in range((1 << len(vertices)) - 1):
+                    removed = {v for i, v in enumerate(vertices) if mask >> i & 1}
+                    for piece in component_trees(delete_vertices(tree, removed)):
+                        assert properly_connected(piece, t), (seed, t, sorted(removed))
+                        checked += 1
+        assert checked > 60_000
+
 
 class TestBettiSplitting:
     def test_leaf_split_line6_t2(self):
@@ -173,10 +224,24 @@ class TestPdAuto:
     def test_zero_ideal(self):
         assert pd_auto(line(3), 4).value == 0
 
+    def test_unknown_method_rejected_on_zero_ideal(self):
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            pd_auto(line(3), 4, method="bogus")
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            pd_auto(line(5), 2, method="bogus")
+
+    def test_line_rooted_inside_uses_closed_form(self):
+        tree = reroot(line(9), 4)
+        report = pd_auto(tree, 2, verify=True)
+        assert report.method == "closed-form"
+        assert report.value == pd_line_closed_form(9, 2)
+        assert report.values["closed-form"] == report.values["recursion"] == report.values["hochster"]
+        assert pd_auto(tree, 2, method="closed-form").value == report.value
+
     def test_verify_mode_line(self):
         report = pd_auto(line(8), 3, verify=True)
         assert report.values["closed-form"] == report.values["recursion"] == report.values["hochster"] == 4
 
-    def test_is_line(self):
-        assert is_line(line(7))
-        assert not is_line(twelve_vertex_tree())
+    def test_line_order(self):
+        assert line_order(path_ideal(line(7), 3)) == (3, list(range(1, 8)))
+        assert line_order(path_ideal(twelve_vertex_tree(), 3)) is None

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure (a check answered "no" or a
 cross-method comparison failed), 2 usage or input errors (missing file,
-malformed tree, exceeded bound), 3 internal error (the program hit a limit
-such as Python's recursion depth; the answer is unknown, not "no").
+malformed tree, exceeded bound, a --method that does not apply to the
+tree), 3 internal error (the program hit a limit such as Python's
+recursion depth; the answer is unknown, not "no").
 """
 from __future__ import annotations
 
@@ -17,12 +18,13 @@ from .homology import (
     QQ,
     Field,
     betti_table_hochster,
+    certificate_stats,
     char_independence_report,
     gf,
     is_sequentially_cm,
 )
 from .ideals import ideal_to_json
-from .pd import METHODS, pd_auto
+from .pd import METHODS, NotProperlyConnectedError, pd_auto
 from .simplicial import facet_complex, is_properly_connected, is_simplicial_tree
 from .trees import TreeError, enumerate_paths, parse_tree, path_ideal
 from .verify import run_verification
@@ -155,8 +157,12 @@ def cmd_check(args: argparse.Namespace) -> int:
         ok = is_sequentially_cm(path_ideal(tree, args.t), args.field)
         detail = {"fields": [str(args.field)]}
     elif kind == "char-independence":
+        before = dict(certificate_stats)
         ok, diffs = char_independence_report(path_ideal(tree, args.t), max_n=args.max_n)
+        # complexes one Q elimination settled for every field, and complexes
+        # eliminated again for a single field
         detail = {"differences": [list(map(str, d)) for d in diffs]}
+        detail.update({k: v - before[k] for k, v in certificate_stats.items()})
     else:
         raise ValueError(f"unknown check {kind!r}")
     _emit({"check": kind, "result": bool(ok), **detail}, args)
@@ -291,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "field"):
             args.field = _parse_field(args.field)
         return args.func(args)
-    except (FileNotFoundError, TreeError, BoundExceededError, ValueError) as exc:
+    except (FileNotFoundError, TreeError, BoundExceededError, NotProperlyConnectedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError as exc:

@@ -18,10 +18,15 @@ count minus one, raising CheckFailedError otherwise (also under
 
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
 order-independent.  One module-level cache serves all of them: it is keyed
-by the kind of mask collection (generating faces or minimal non-faces), a
-canonical relabeling of the masks, and the field, and each entry is
-computed from its key alone, so concurrent or repeated use only changes
-speed, never results.
+by the kind of mask collection (generating faces or minimal non-faces) and
+a canonical relabeling of the masks, and each entry is computed from its
+key alone, so concurrent or repeated use only changes speed, never
+results.  Every complex is first eliminated over Q.  When every rank of
+that elimination is certified (see ``linalg``), the homology is the same
+over every field and one entry, keyed without the field, answers them
+all.  Otherwise the field p is part of the key and each field asked for
+is computed on its own; a complex with torsion always takes this path,
+since certified ranks leave no room for a field-dependent answer.
 """
 from __future__ import annotations
 
@@ -77,18 +82,23 @@ DEFAULT_FIELDS = (QQ, gf(2), gf(3), gf(5))
 
 # counters for the exactness checks performed alongside every homology run
 assertion_stats = {"boundary_squared": 0, "euler": 0}
+# homology computations over Q that answer every field, and computations
+# over one GF(p) because the Q elimination could not answer for it
+certificate_stats = {"certified": 0, "per_field": 0}
 
 
 def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def _homology_from_faces(faces, p: int | None) -> dict[int, int]:
+def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], bool]:
     """Reduced homology dimensions of a complex given as the set of its
-    face bitmasks (closed under subsets; 0 is the empty face).  Keys run
-    from -1 to the dimension; zero entries are omitted."""
+    face bitmasks (closed under subsets; 0 is the empty face), over Q when
+    p is None.  Keys run from -1 to the dimension; zero entries are
+    omitted.  The flag is true when every rank is certified, so the
+    dimensions hold over every field."""
     if not faces:
-        return {}
+        return {}, True
     by_dim: dict[int, list[int]] = {}
     for m in faces:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
@@ -122,12 +132,14 @@ def _homology_from_faces(faces, p: int | None) -> dict[int, int]:
         assertion_stats["boundary_squared"] += 1
 
     ranks = {k: 0 for k in range(top + 2)}
+    certified = True
     for k in range(0, top + 1):
         rows: list[dict[int, int]] = [{} for _ in by_dim[k - 1]]
         for j, col in enumerate(cols[k]):
             for i, s in col:
                 rows[i][j] = s
-        ranks[k] = sparse_rank(rows, p)
+        ranks[k], rank_certified = sparse_rank(rows, p)
+        certified = certified and rank_certified
 
     counts = {k: len(by_dim.get(k, ())) for k in range(-1, top + 1)}
     dims = {-1: counts[-1] - ranks[0]}
@@ -142,10 +154,12 @@ def _homology_from_faces(faces, p: int | None) -> dict[int, int]:
     if euler_h != euler_f:
         raise CheckFailedError("Euler characteristic mismatch")
     assertion_stats["euler"] += 1
-    return {k: v for k, v in dims.items() if v}
+    return {k: v for k, v in dims.items() if v}, certified
 
 
-# (kind, canonical masks, p) -> reduced homology dims
+# (kind, canonical masks) -> reduced homology dims over every field, or
+# (kind, canonical masks, p) -> dims over one field when the Q elimination
+# was not certified (p is None for Q itself)
 _homology_cache: dict = {}
 
 FACETS = "facets"  # the masks generate the complex
@@ -176,22 +190,36 @@ def _faces_from_facets(facet_masks) -> set[int]:
 
 
 def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
-    """Reduced homology of the complex described by canonical masks
-    (see _canonical_faces) of the given kind.  The faces are built from
-    the key itself on a miss, so an entry depends only on its key."""
-    key = (kind, canon, p)
-    hit = _homology_cache.get(key)
+    """Reduced homology over GF(p), or Q when p is None, of the complex
+    described by canonical masks (see _canonical_faces) of the given kind.
+    The faces are built from the key itself on a miss, so an entry depends
+    only on its key.  A miss eliminates over Q first; only when that is not
+    certified is the field p computed on its own."""
+    hit = _homology_cache.get((kind, canon))
     if hit is None:
-        if kind == FACETS:
-            faces = _faces_from_facets(canon)
-        else:
-            union = 0
-            for m in canon:
-                union |= m
-            faces = _enumerate_faces(union, canon)
-        hit = _homology_from_faces(faces, p)
-        _homology_cache[key] = hit
-    return hit
+        hit = _homology_cache.get((kind, canon, p))
+    if hit is not None:
+        return hit
+    if kind == FACETS:
+        faces = _faces_from_facets(canon)
+    else:
+        union = 0
+        for m in canon:
+            union |= m
+        faces = _enumerate_faces(union, canon)
+    if (kind, canon, None) not in _homology_cache:
+        dims, certified = _homology_from_faces(faces)
+        if certified:
+            certificate_stats["certified"] += 1
+            _homology_cache[(kind, canon)] = dims
+            return dims
+        _homology_cache[(kind, canon, None)] = dims
+        if p is None:
+            return dims
+    certificate_stats["per_field"] += 1
+    dims, _ = _homology_from_faces(faces, p)
+    _homology_cache[(kind, canon, p)] = dims
+    return dims
 
 
 def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:

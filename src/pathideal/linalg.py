@@ -6,6 +6,18 @@ size.  Over GF(p) it reduces entries mod p and divides by the pivot.  Over
 the rationals it is fraction-free: it pivots on +-1 entries only (no
 division) and hands any leftover core without unit entries to a dense
 Bareiss elimination.  No floating point is used anywhere.
+
+Certificate.  Over Q the elimination pivots only on +-1 entries and only
+adds integer multiples of a pivot row to other rows, so it is a unimodular
+row transform over Z, and such a transform stays invertible mod every
+prime p.  When no core is left for ``bareiss_rank``, every row that did
+not become a pivot is zero, and the r pivot rows, taken in pivot order,
+form a triangular block on the pivot columns with +-1 on the diagonal
+(each pivot column is cleared from all rows before the next pivot is
+chosen).  Reduced mod p that block is still invertible and the other rows
+are still zero, so the rank mod p equals the rank r over Q.
+``sparse_rank`` reports this as ``certified``: the rank then holds over Q
+and over every GF(p).
 """
 from __future__ import annotations
 
@@ -38,13 +50,16 @@ def bareiss_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> int:
-    """Rank of a sparse integer matrix over GF(p), or over Q when p is None.
+def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> tuple[int, bool]:
+    """(rank, certified) of a sparse integer matrix over GF(p), or over Q
+    when p is None.
 
     Pivots are chosen by a lazy min-degree queue over the columns (fewest
     nonzeros first, shortest row within the column).  Over Q a column with
     no +-1 entry is deferred and retried after later pivots; whatever is
-    left goes to ``bareiss_rank``.  The input rows are copied, not changed.
+    left goes to ``bareiss_rank``.  ``certified`` is true only over Q with
+    no such leftover core, and then the rank is the same over every GF(p)
+    (see the module docstring).  The input rows are copied, not changed.
     """
     rationals = p is None
     if rationals:
@@ -157,14 +172,15 @@ def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> int:
             else:
                 col_rows.pop(cc, None)
 
-    if rationals:
-        leftovers = [row for row in rows if row]
-        if leftovers:
-            cols = sorted({c for row in leftovers for c in row})
-            cindex = {c: j for j, c in enumerate(cols)}
-            dense = [[0] * len(cols) for _ in leftovers]
-            for i, row in enumerate(leftovers):
-                for c, v in row.items():
-                    dense[i][cindex[c]] = v
-            rank += bareiss_rank(dense)
-    return rank
+    if not rationals:
+        return rank, False
+    leftovers = [row for row in rows if row]
+    if leftovers:
+        cols = sorted({c for row in leftovers for c in row})
+        cindex = {c: j for j, c in enumerate(cols)}
+        dense = [[0] * len(cols) for _ in leftovers]
+        for i, row in enumerate(leftovers):
+            for c, v in row.items():
+                dense[i][cindex[c]] = v
+        rank += bareiss_rank(dense)
+    return rank, not leftovers

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from pathideal import homology
 from pathideal.cli import main
-from pathideal.corpus import line, twelve_vertex_tree
+from pathideal.corpus import line, projective_plane_ideal, random_tree, twelve_vertex_tree
+from pathideal.homology import char_independence_report, gf
 from pathideal.ara import partition_from_jsonable, verify_sv_conditions
 from pathideal.trees import RootedTree, format_tree, path_ideal
 
@@ -122,7 +124,19 @@ class TestChecks:
         assert main(["check", "scm", example_file, "-t", "3"]) == 0
 
     def test_char_independence(self, line8_file, capsys):
-        assert main(["check", "char-independence", line8_file, "-t", "3"]) == 0
+        homology.clear_caches()
+        assert main(["check", "char-independence", line8_file, "-t", "3", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["differences"] == [] and data["result"] is True
+        # one Q elimination per complex answered all four fields
+        assert data["per_field"] == 0 and data["certified"] > 0
+
+    def test_torsion_still_computed_per_field(self):
+        homology.clear_caches()
+        before = dict(homology.certificate_stats)
+        ok, diffs = char_independence_report(projective_plane_ideal())
+        assert not ok and any(d[1] == gf(2) for d in diffs)
+        assert homology.certificate_stats["per_field"] > before["per_field"]
 
 
 class TestAra:
@@ -196,6 +210,15 @@ class TestExitCodes:
         assert main(["pd", line8_file, "-t", "3", "--method", "recursion"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error:") and "verification failure" not in err
+
+    def test_recursion_on_improper_tree_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "improper.tree"
+        path.write_text(format_tree(random_tree(0, 7)))
+        assert main(["pd", str(path), "-t", "3", "--method", "recursion"]) == 2
+        err = capsys.readouterr().err
+        assert "not properly-connected" in err and "verification failure" not in err
+        # auto falls back to Hochster's formula instead
+        assert main(["pd", str(path), "-t", "3"]) == 0
 
 
 class TestVerify:

@@ -260,6 +260,32 @@ class TestHomologyCache:
             for kind in order:
                 assert homology._cached_homology(kind, key, None) == expected[kind]
 
+    def test_torsion_answers_each_field_in_either_order(self):
+        # the projective plane's Q elimination needs a Bareiss core, so it is
+        # not certified and GF(2) gets an entry of its own
+        rp2 = projective_plane_complex()
+        expected = {QQ: {}, gf(2): {1: 1, 2: 1}, gf(3): {}}
+        for order in ((gf(2), QQ, gf(3)), (QQ, gf(2), gf(3))):
+            homology.clear_caches()
+            before = dict(homology.certificate_stats)
+            for field in order:
+                assert reduced_homology_dims(rp2, field) == expected[field], field
+            assert homology.certificate_stats["certified"] == before["certified"]
+            assert homology.certificate_stats["per_field"] == before["per_field"] + 2
+
+    def test_four_fields_leave_as_many_entries_as_q_alone(self):
+        ideal = path_ideal(line(9), 3)
+        entries = []
+        for fields in ((QQ,), homology.DEFAULT_FIELDS):
+            homology.clear_caches()
+            before = dict(assertion_stats)
+            betti_tables_hochster(ideal, fields)
+            entries.append(len(homology._homology_cache))
+            # the benchmark's hygiene gate: every entry ran both checks
+            for check in ("boundary_squared", "euler"):
+                assert assertion_stats[check] - before[check] >= entries[-1] > 0, check
+        assert entries[0] == entries[1]
+
 
 class TestSequentiallyCM:
     def test_path_ideals(self):

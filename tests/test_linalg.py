@@ -28,17 +28,21 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+SMALL_INTEGERS = (-3, -2, -1, 0, 1, 2, 3)
+# boundary-like: mostly units, so many draws need no Bareiss core over Q
+MOSTLY_UNITS = (-1, 1, -1, 1, -1, 1, 2)
+
+
 @st.composite
-def integer_matrices(draw):
+def integer_matrices(draw, values=SMALL_INTEGERS):
     # small shapes (at most 32 x 32) and large ones (at least 33 x 33); one
     # byte per entry (drawn at once, which keeps generation fast): below 128
-    # it maps onto -3..3, otherwise to 0, so sparse boundary-like matrices
-    # are common
+    # it maps onto the values, otherwise to 0, so sparse matrices are common
     large = draw(st.booleans())
     nrows = draw(st.integers(33, 40) if large else st.integers(0, 32))
     ncols = draw(st.integers(33, 40) if large else st.integers(1, 32))
     cells = draw(st.binary(min_size=nrows * ncols, max_size=nrows * ncols))
-    entries = [b % 7 - 3 if b < 128 else 0 for b in cells]
+    entries = [values[b % len(values)] if b < 128 else 0 for b in cells]
     return [entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]
 
 
@@ -48,8 +52,19 @@ def test_sparse_rank_matches_dense_oracle(matrix):
     rows = sparse(matrix)
     before = copy.deepcopy(rows)
     for p in FIELDS:
-        assert sparse_rank(rows, p) == dense_rank(matrix, p), p
+        assert sparse_rank(rows, p)[0] == dense_rank(matrix, p), p
     assert rows == before
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(integer_matrices(), integer_matrices(MOSTLY_UNITS)))
+def test_certified_rank_holds_over_every_field(matrix):
+    rows = sparse(matrix)
+    rank, certified = sparse_rank(rows)
+    for p in (2, 3, 5):
+        if certified:
+            assert dense_rank(matrix, p) == rank, p
+        assert sparse_rank(rows, p)[1] is False
 
 
 FIXED = {
@@ -68,17 +83,35 @@ FIXED = {
 @pytest.mark.parametrize("name", sorted(FIXED))
 def test_fixed_cases(name, p):
     matrix = FIXED[name]
-    assert sparse_rank(sparse(matrix), p) == dense_rank(matrix, p)
+    assert sparse_rank(sparse(matrix), p)[0] == dense_rank(matrix, p)
     # the same block inside a larger, sparser matrix
     padded = block_diag(matrix, identity(40))
-    assert sparse_rank(sparse(padded), p) == dense_rank(padded, p)
+    assert sparse_rank(sparse(padded), p)[0] == dense_rank(padded, p)
+
+
+@pytest.mark.parametrize("name", ["two_identity", "bareiss_core"])
+def test_unit_free_blocks_are_not_certified(name):
+    matrix = FIXED[name]
+    padded = block_diag(matrix, identity(40))
+    assert len(padded) == len(padded[0]) == 40 + len(matrix)
+    for m in (matrix, padded):
+        assert sparse_rank(sparse(m))[1] is False
+
+
+def test_unit_pivots_alone_are_certified():
+    # the 1 in row 1 is a unit pivot that clears row 0, so no core is left:
+    # rank 1 over Q and over every GF(p)
+    for m in (FIXED["no_unit_rank_one"], block_diag(FIXED["no_unit_rank_one"], identity(40))):
+        assert sparse_rank(sparse(m)) == (len(m) - 1, True)
+    assert sparse_rank(sparse(FIXED["deferred_retry"])) == (2, True)
+    assert sparse_rank(sparse(identity(5)), 2) == (5, False)
 
 
 def test_two_identity_ranks_by_field():
     rows = sparse([[2, 0], [0, 2]])
-    assert [sparse_rank(rows, p) for p in FIELDS] == [2, 0, 2, 2]
+    assert [sparse_rank(rows, p)[0] for p in FIELDS] == [2, 0, 2, 2]
 
 
 def test_empty():
-    assert sparse_rank([]) == 0
-    assert sparse_rank([{}, {}], 3) == 0
+    assert sparse_rank([]) == (0, True)
+    assert sparse_rank([{}, {}], 3) == (0, False)

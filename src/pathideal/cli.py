@@ -49,8 +49,8 @@ def _emit(data: dict, args: argparse.Namespace) -> None:
             print(f"{key}: {value}")
 
 
-def _monomial_text(path: tuple) -> str:
-    return "".join(f"x_{v}" for v in path)
+def _monomial_text(path, sep: str) -> str:
+    return sep.join(f"x_{v}" for v in path)
 
 
 def cmd_tree_parse(args: argparse.Namespace) -> int:
@@ -86,16 +86,10 @@ def cmd_ideal_gens(args: argparse.Namespace) -> int:
     ideal = path_ideal(tree, args.t)
     if args.format == "json":
         print(ideal_to_json(ideal))
-    elif args.format == "macaulay2":
-        if not paths:
-            print("ideal(0)")
-        else:
-            print("ideal(" + ", ".join("*".join(f"x_{v}" for v in p) for p in paths) + ")")
     else:
-        if not paths:
-            print("(0)")
-        else:
-            print("(" + ", ".join(_monomial_text(p) for p in paths) + ")")
+        # generators in path order, unlike the sorted to_macaulay2 and str
+        opener, sep = ("ideal(", "*") if args.format == "macaulay2" else ("(", "")
+        print(opener + (", ".join(_monomial_text(p, sep) for p in paths) or "0") + ")")
     return 0
 
 
@@ -190,7 +184,7 @@ def cmd_ara(args: argparse.Namespace) -> int:
     if args.point_check and bounds.partition is not None and not ideal.is_zero:
         witnesses = ara_mod.sv_witnesses(bounds.partition, ideal)
         data["witnesses"] = [
-            ["*".join(f"x_{v}" for v in sorted(m)) + (f"^{e}" if e > 1 else "") for m, e in w.terms]
+            [_monomial_text(sorted(m), "*") + (f"^{e}" if e > 1 else "") for m, e in w.terms]
             for w in witnesses
         ]
         data["point_check"] = ara_mod.radical_point_check(witnesses, ideal)

@@ -2,7 +2,7 @@
 
 
 class BoundExceededError(RuntimeError):
-    """A configured size bound (vertex count, facet count, ...) was exceeded."""
+    """A configured size bound (vertex count, generator count) was exceeded."""
 
 
 class CheckFailedError(RuntimeError):

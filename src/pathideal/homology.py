@@ -36,7 +36,7 @@ from .bits import bit_index, iter_bits, submasks, to_mask
 from .errors import BoundExceededError, CheckFailedError
 from .ideals import SquarefreeIdeal, hypergraph_components
 from .linalg import sparse_rank
-from .simplicial import Complex, _facet_masks, is_pure, make_complex
+from .simplicial import Complex, is_pure, make_complex
 
 DEFAULT_HOCHSTER_MAX_N = 14
 DEFAULT_SR_MAX_N = 16
@@ -222,12 +222,17 @@ def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
     return dims
 
 
+def _facet_masks(cx: Complex) -> list[int]:
+    idx = bit_index(cx.ambient)
+    return [to_mask(f, idx) for f in cx.sorted_facets()]
+
+
 def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:
     """dim H~_i for i = -1 .. dim, computed from boundary-map ranks over the
     given field.  The void complex gives all zeros."""
     if cx.is_void:
         return {}
-    return dict(_cached_homology(FACETS, _canonical_faces(_facet_masks(cx)[1]), field.p))
+    return dict(_cached_homology(FACETS, _canonical_faces(_facet_masks(cx)), field.p))
 
 
 def _enumerate_faces(universe_mask: int, gen_masks) -> set[int]:
@@ -451,7 +456,7 @@ def is_cohen_macaulay(cx: Complex, field: Field = QQ) -> bool:
     are pure, so the pure form of the criterion decides the rest."""
     if not is_pure(cx):
         return False
-    return _reisner_cm_pure(_facet_masks(cx)[1], field.p)
+    return _reisner_cm_pure(_facet_masks(cx), field.p)
 
 
 def is_sequentially_cm(

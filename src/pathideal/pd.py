@@ -28,7 +28,8 @@ class NotProperlyConnectedError(RuntimeError):
 
     def __init__(self, pair):
         self.pair = pair
-        super().__init__(f"facet complex is not properly-connected, witness pair {pair}")
+        shown = [sorted(f) for f in pair]
+        super().__init__(f"facet complex is not properly-connected, witness pair {shown}")
 
 
 def pd_line_closed_form(n: int, t: int) -> int:

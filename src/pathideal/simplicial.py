@@ -1,8 +1,11 @@
 """Simplicial complexes in facet representation.
 
-Covers leaf detection, the exact simplicial-forest/tree test (every
-nonempty subcollection of facets has a leaf), leaf orders, proper chain
-distance, and the properly-connected test for pure complexes.
+Covers leaf detection, the simplicial-forest/tree test (every nonempty
+subcollection of facets has a leaf), leaf orders, proper chain distance,
+and the properly-connected test for pure complexes.  Both leaf questions
+are decided greedily in polynomial time: forests are the complexes whose
+facets form a beta-acyclic hypergraph (Herzog-Hibi-Trung-Zheng 2008), and
+complexes with a leaf order are the quasi-forests (Herzog-Hibi-Zheng 2004).
 
 The complex with no facets at all is the empty complex; by convention it
 is connected and a simplicial tree.
@@ -13,11 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .bits import bit_index, to_mask
-from .errors import BoundExceededError
 from .ideals import SquarefreeIdeal, hypergraph_components
-
-DEFAULT_MAX_FACETS = 20
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,7 @@ def make_complex(faces: Iterable[Iterable[int]], ambient: Iterable[int] | None =
     for f in sets:
         if not any(f <= kept for kept in facets):
             facets.append(f)
-    if ambient is None:
-        amb = frozenset().union(*facets) if facets else frozenset()
-    else:
-        amb = frozenset(ambient)
+    amb = frozenset().union(*facets) if ambient is None else frozenset(ambient)
     return Complex(amb, frozenset(facets))
 
 
@@ -71,6 +67,13 @@ def is_connected(cx: Complex) -> bool:
     return len(hypergraph_components(cx.facets)) <= 1
 
 
+def _branch(F: frozenset, others) -> frozenset | None:
+    """The first G among ``others`` with F & F' <= F & G for every F' in
+    ``others``, or None.  F is a leaf beside ``others`` iff G exists."""
+    needed = frozenset().union(*(F & G for G in others))
+    return next((G for G in others if needed <= G), None)
+
+
 def is_leaf(cx: Complex, facet: Iterable[int]) -> tuple[bool, object]:
     """Whether ``facet`` is a leaf: either the only facet, or it has a joint
     witness G != F with F & F' <= F & G for every other facet F'.
@@ -83,95 +86,91 @@ def is_leaf(cx: Complex, facet: Iterable[int]) -> tuple[bool, object]:
     others = [G for G in cx.sorted_facets() if G != F]
     if not others:
         return True, None
-    needed = frozenset().union(*(F & G for G in others))
     ranked = sorted(others, key=lambda g: (-len(F & g), sorted(g)))
-    for G in ranked:
-        if needed <= G:
-            return True, G
-    best = ranked[0]
-    violator = next(Fp for Fp in others if not (F & Fp <= F & best))
-    return False, (best, violator)
+    G = _branch(F, ranked)
+    if G is not None:
+        return True, G
+    violator = next(Fp for Fp in others if not (F & Fp <= F & ranked[0]))
+    return False, (ranked[0], violator)
 
 
-def _facet_masks(cx: Complex) -> tuple[list[frozenset], list[int]]:
-    facets = cx.sorted_facets()
-    idx = bit_index(cx.ambient)
-    return facets, [to_mask(f, idx) for f in facets]
-
-
-def is_simplicial_forest(cx: Complex, max_facets: int = DEFAULT_MAX_FACETS) -> tuple[bool, tuple | None]:
-    """Exact forest test: every nonempty subcollection of facets has a leaf.
-
-    Exponential in the facet count, hence the configurable bound.  On
-    failure returns a leafless subcollection as counterexample.
-    """
-    facets, masks = _facet_masks(cx)
-    q = len(facets)
-    if q > max_facets:
-        raise BoundExceededError(f"{q} facets exceeds the bound {max_facets}")
-    if q <= 1:
-        return True, None
-    inter = [[masks[i] & masks[j] for j in range(q)] for i in range(q)]
-    for sub in range(1, 1 << q):
-        idxs = [i for i in range(q) if sub >> i & 1]
-        if len(idxs) == 1:
+def _eliminates_nest_points(facets: Iterable[frozenset]) -> bool:
+    """Whether deleting nest points empties every facet.  A nest point is a
+    vertex whose facets, restricted to the vertices left, form a chain under
+    inclusion.  It stays one as other vertices go, and v can become one only
+    when a vertex sharing a facet with v goes, so a worklist suffices."""
+    rest = [set(f) for f in facets]
+    holders: dict = {}
+    for i, f in enumerate(rest):
+        for v in f:
+            holders.setdefault(v, []).append(i)
+    todo = list(holders)
+    while todo:
+        v = todo.pop()
+        if v not in holders:
             continue
-        has_leaf = False
-        for i in idxs:
-            union = 0
-            for j in idxs:
-                if j != i:
-                    union |= inter[i][j]
-            if any(inter[i][j] == union for j in idxs if j != i):
-                has_leaf = True
-                break
-        if not has_leaf:
-            return False, tuple(facets[i] for i in idxs)
-    return True, None
+        chain = sorted((rest[i] for i in holders[v]), key=len)
+        if all(a <= b for a, b in zip(chain, chain[1:])):
+            del holders[v]
+            for f in chain:
+                f.discard(v)
+                todo.extend(f)
+    return not holders
 
 
-def is_simplicial_tree(cx: Complex, max_facets: int = DEFAULT_MAX_FACETS) -> tuple[bool, tuple | None]:
+def is_simplicial_forest(cx: Complex) -> tuple[bool, tuple | None]:
+    """Forest test: every nonempty subcollection of facets has a leaf.  That
+    holds iff there is no special cycle of length >= 3 (Herzog-Hibi-Trung-
+    Zheng 2008, Trans. AMS 360), iff the facets form a beta-acyclic
+    hypergraph, iff deleting nest points deletes every vertex (Duris 2012).
+
+    On failure returns a leafless subcollection S: each facet is dropped in
+    turn and kept out if the rest still fails.  So S - F is a forest for
+    every F in S, and a leafless subcollection of S must be S itself."""
+    facets = cx.sorted_facets()
+    if _eliminates_nest_points(facets):
+        return True, None
+    for F in cx.sorted_facets():
+        rest = [G for G in facets if G != F]
+        if not _eliminates_nest_points(rest):
+            facets = rest
+    return False, tuple(facets)
+
+
+def is_simplicial_tree(cx: Complex) -> tuple[bool, tuple | None]:
     """Forest test plus connectedness.  The empty complex counts as a tree."""
     if cx.is_void:
         return True, None
     if not is_connected(cx):
         return False, None
-    return is_simplicial_forest(cx, max_facets)
+    return is_simplicial_forest(cx)
 
 
 def has_leaf_order(cx: Complex) -> bool:
     """Whether the facets admit an order F_1,...,F_q with F_i a leaf of
-    <F_i,...,F_q>.  Greedy removal with backtracking and memoized failures."""
-    facets, masks = _facet_masks(cx)
-    q = len(facets)
-    if q <= 1:
-        return True
-    inter = [[masks[i] & masks[j] for j in range(q)] for i in range(q)]
-    failed: set[frozenset] = set()
+    <F_i,...,F_q>, that is, whether the complex is a quasi-forest: the
+    clique complex of a chordal graph (Herzog-Hibi-Zheng 2004).
 
-    def leaves_of(active: frozenset) -> list[int]:
-        out = []
-        for i in active:
-            union = 0
-            for j in active:
-                if j != i:
-                    union |= inter[i][j]
-            if any(inter[i][j] == union for j in active if j != i):
-                out.append(i)
-        return out
-
-    def solvable(active: frozenset) -> bool:
-        if len(active) <= 1:
-            return True
-        if active in failed:
-            return False
-        for i in leaves_of(active):
-            if solvable(active - {i}):
-                return True
-        failed.add(active)
-        return False
-
-    return solvable(frozenset(range(q)))
+    Removing any leaf F, with branch G, keeps that: the vertices of F - G
+    lie in no other facet, so the rest is the clique complex of an induced,
+    hence chordal, subgraph.  Only facets meeting F can be its branch (any
+    is, if none meets F) or change status when F goes; only they are
+    examined again."""
+    holders: dict = {}
+    for F in cx.facets:
+        for v in F:
+            holders.setdefault(v, set()).add(F)
+    active = set(cx.facets)
+    todo = cx.sorted_facets()
+    while len(active) > 1 and todo:
+        F = todo.pop()
+        near = {G for v in F for G in holders[v] if G != F}
+        if F in active and (not near or _branch(F, near) is not None):
+            active.remove(F)
+            for v in F:
+                holders[v].remove(F)
+            todo.extend(near)
+    return len(active) <= 1
 
 
 def _proper_distances(facets: list[frozenset], source: frozenset) -> dict:

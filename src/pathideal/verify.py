@@ -58,6 +58,7 @@ from .simplicial import (
     is_pure,
     is_simplicial_forest,
     is_simplicial_tree,
+    make_complex,
 )
 from .trees import enumerate_paths, parse_tree, path_ideal, tree_from_json, tree_to_json
 
@@ -129,10 +130,7 @@ def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list
                 _require(ok, f"{name}: facet {p} not a leaf")
 
     def c_forest_theorem(name, tree, t, ideal):
-        cx = facet_complex(ideal)
-        if len(cx.facets) > 16:
-            return
-        ok, witness = is_simplicial_tree(cx)
+        ok, witness = is_simplicial_tree(facet_complex(ideal))
         _require(ok, f"{name}: {witness}")
 
     def c_purity(name, tree, t, ideal):
@@ -142,8 +140,6 @@ def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list
 
     def c_leaf_order(name, tree, t, ideal):
         cx = facet_complex(ideal)
-        if len(cx.facets) > 14:
-            return
         ok, _ = is_simplicial_forest(cx)
         if ok:
             _require(has_leaf_order(cx), name)
@@ -257,6 +253,10 @@ def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list
         ok, _ = is_simplicial_forest(triangle_boundary())
         _require(not ok, "triangle boundary passed the forest check")
         _require(not has_leaf_order(triangle_boundary()), "triangle boundary has a leaf order")
+        # a leaf order exists, yet the first three facets have no leaf
+        quasi = make_complex([{1, 2, 5}, {2, 3, 6}, {1, 3, 7}, {1, 2, 3, 8}])
+        _require(not is_simplicial_forest(quasi)[0], "quasi-forest control passed the forest check")
+        _require(has_leaf_order(quasi), "quasi-forest control has no leaf order")
         ok, diffs = char_independence_report(projective_plane_ideal())
         _require(not ok and bool(diffs), "projective plane fixture shows no disagreement")
         _require(not is_sequentially_cm(four_cycle_edge_ideal(), QQ), "4-cycle passed the SCM check")

@@ -3,12 +3,16 @@
 These deliberately avoid the library's computation paths: Betti numbers
 come from the Taylor complex (Tor of the generators' lcm strands), ranks
 from dense Fraction/mod-p elimination, ideal equality from brute-force
-membership over all squarefree monomials.
+membership over all squarefree monomials, the simplicial-forest test from
+a scan of all 2^q subcollections of the q facets, and leaf orders from a
+backtracking search.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from pathideal.bits import bit_index, to_mask
 
 
 def dense_rank(matrix, p=None):
@@ -142,3 +146,73 @@ def simple_homology(faces, p=None):
         if h:
             dims[k] = h
     return dims
+
+
+def _facet_masks(cx):
+    facets = cx.sorted_facets()
+    idx = bit_index(cx.ambient)
+    return facets, [to_mask(f, idx) for f in facets]
+
+
+def simplicial_forest_by_scan(cx):
+    """Exact forest test: every nonempty subcollection of facets has a leaf.
+
+    Exponential in the facet count.  On failure returns a leafless
+    subcollection as counterexample.
+    """
+    facets, masks = _facet_masks(cx)
+    q = len(facets)
+    if q <= 1:
+        return True, None
+    inter = [[masks[i] & masks[j] for j in range(q)] for i in range(q)]
+    for sub in range(1, 1 << q):
+        idxs = [i for i in range(q) if sub >> i & 1]
+        if len(idxs) == 1:
+            continue
+        has_leaf = False
+        for i in idxs:
+            union = 0
+            for j in idxs:
+                if j != i:
+                    union |= inter[i][j]
+            if any(inter[i][j] == union for j in idxs if j != i):
+                has_leaf = True
+                break
+        if not has_leaf:
+            return False, tuple(facets[i] for i in idxs)
+    return True, None
+
+
+def leaf_order_by_search(cx):
+    """Whether the facets admit an order F_1,...,F_q with F_i a leaf of
+    <F_i,...,F_q>.  Greedy removal with backtracking and memoized failures."""
+    facets, masks = _facet_masks(cx)
+    q = len(facets)
+    if q <= 1:
+        return True
+    inter = [[masks[i] & masks[j] for j in range(q)] for i in range(q)]
+    failed: set[frozenset] = set()
+
+    def leaves_of(active: frozenset) -> list[int]:
+        out = []
+        for i in active:
+            union = 0
+            for j in active:
+                if j != i:
+                    union |= inter[i][j]
+            if any(inter[i][j] == union for j in active if j != i):
+                out.append(i)
+        return out
+
+    def solvable(active: frozenset) -> bool:
+        if len(active) <= 1:
+            return True
+        if active in failed:
+            return False
+        for i in leaves_of(active):
+            if solvable(active - {i}):
+                return True
+        failed.add(active)
+        return False
+
+    return solvable(frozenset(range(q)))

@@ -116,6 +116,12 @@ class TestChecks:
     def test_simplicial_tree(self, example_file, capsys):
         assert main(["check", "simplicial-tree", example_file, "-t", "3"]) == 0
 
+    def test_simplicial_tree_on_long_line(self, tmp_path, capsys):
+        path = tmp_path / "line200.tree"
+        path.write_text(format_tree(line(200)))
+        assert main(["check", "simplicial-tree", str(path), "-t", "3"]) == 0
+        assert "result: True" in capsys.readouterr().out
+
     def test_properly_connected_fails_on_example(self, example_file, capsys):
         assert main(["check", "properly-connected", example_file, "-t", "3"]) == 1
         assert main(["check", "properly-connected", example_file, "-t", "2"]) == 0
@@ -217,6 +223,7 @@ class TestExitCodes:
         assert main(["pd", str(path), "-t", "3", "--method", "recursion"]) == 2
         err = capsys.readouterr().err
         assert "not properly-connected" in err and "verification failure" not in err
+        assert "[1, 2, 7]" in err and "frozenset" not in err
         # auto falls back to Hochster's formula instead
         assert main(["pd", str(path), "-t", "3"]) == 0
 

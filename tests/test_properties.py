@@ -141,8 +141,6 @@ def test_path_complexes_are_simplicial_forests_with_leaf_orders():
     for tree in sampled_trees():
         for t in (2, 3):
             cx = facet_complex(path_ideal(tree, t))
-            if len(cx.facets) > 14:
-                continue
             ok, witness = is_simplicial_forest(cx)
             assert ok, witness
             assert has_leaf_order(cx)

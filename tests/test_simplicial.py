@@ -1,9 +1,10 @@
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathideal import (
-    BoundExceededError,
     facet_complex,
     has_leaf_order,
     is_leaf,
@@ -16,6 +17,11 @@ from pathideal import (
     proper_distance,
 )
 from pathideal.corpus import line, triangle_boundary, twelve_vertex_tree
+
+from oracles import leaf_order_by_search, simplicial_forest_by_scan
+
+# a leaf order exists, yet the first three facets have no leaf
+QUASI_FOREST = make_complex([{1, 2, 5}, {2, 3, 6}, {1, 3, 7}, {1, 2, 3, 8}])
 
 
 class TestFacetComplex:
@@ -75,11 +81,6 @@ class TestForest:
         assert cx.is_void
         assert is_simplicial_tree(cx) == (True, None)
 
-    def test_facet_bound(self):
-        cx = facet_complex(path_ideal(line(13), 2))
-        with pytest.raises(BoundExceededError):
-            is_simplicial_forest(cx, max_facets=5)
-
     def test_disconnected_is_forest_not_tree(self):
         cx = make_complex([{1, 2}, {3, 4}])
         assert is_simplicial_forest(cx)[0]
@@ -98,6 +99,37 @@ class TestLeafOrder:
 
     def test_single_facet(self):
         assert has_leaf_order(make_complex([{1, 2, 3}]))
+
+    def test_quasi_forest_that_is_not_a_forest(self):
+        ok, witness = is_simplicial_forest(QUASI_FOREST)
+        assert not ok
+        assert set(witness) == {frozenset({1, 2, 5}), frozenset({2, 3, 6}), frozenset({1, 3, 7})}
+        assert has_leaf_order(QUASI_FOREST)
+
+    def test_long_line_needs_no_deep_recursion(self):
+        cx = facet_complex(path_ideal(line(300), 3))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert is_simplicial_tree(cx) == (True, None)
+            assert has_leaf_order(cx)
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(1, 8), min_size=1), min_size=1, max_size=9))
+def test_leaf_questions_match_the_oracles(faces):
+    cx = make_complex(faces)
+    ok, witness = is_simplicial_forest(cx)
+    assert ok == simplicial_forest_by_scan(cx)[0]
+    assert has_leaf_order(cx) == leaf_order_by_search(cx)
+    if ok:
+        assert witness is None
+    else:
+        sub = make_complex(witness)
+        assert not simplicial_forest_by_scan(sub)[0]
+        assert not any(is_leaf(sub, f)[0] for f in witness)
 
 
 class TestProperDistance:

@@ -9,6 +9,7 @@ recursion depth; the answer is unknown, not "no").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -217,6 +218,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+# Built once per process.  set_defaults binds each cmd_* handler when the
+# parser is built, so patching a handler afterwards has no effect; the
+# handlers look up what they call (pd_auto, is_properly_connected, ...) in
+# this module at call time, and those names can be patched.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pathideal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -103,15 +103,24 @@ def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
     return t, order
 
 
+def _chain_above(tree: RootedTree, end: int, t: int) -> tuple[int, ...]:
+    """The path of t vertices ending at ``end``, read from the top."""
+    chain = [end]
+    for _ in range(t - 1):
+        chain.append(tree.parent[chain[-1]])
+    return tuple(reversed(chain))
+
+
 def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
-    """A generator path ending at a leaf of the tree: the chain of t
-    vertices above a deepest vertex, smallest id on ties.  A deepest vertex
+    """A generator path ending at a leaf of the tree: the smallest of the
+    chains of t vertices above the deepest vertices.  A deepest vertex
     always works since its level is at least t-1."""
-    paths = enumerate_paths(tree, t)
-    if not paths:
+    if t < 2:
+        raise ValueError("paths need at least two vertices (t >= 2)")
+    deepest = tree.height()
+    if deepest < t - 1:
         raise ValueError("the path ideal is zero; no generator to pick")
-    deepest = max(tree.level(p[-1]) for p in paths)
-    return min(p for p in paths if tree.level(p[-1]) == deepest)
+    return min(_chain_above(tree, v, t) for v, level in tree.levels.items() if level == deepest)
 
 
 @dataclass(frozen=True)
@@ -137,20 +146,33 @@ class SplittingData:
 
 
 def splitting_data(tree: RootedTree, t: int, path: tuple | None = None) -> SplittingData:
+    """The leaf split at ``path``, a generator in any vertex order whose
+    last vertex is a leaf (default: leaf_generator).
+
+    The path is a generator iff its vertices, sorted by level, form a
+    parent chain p_1 -> ... -> p_t.  Two downward paths meet in a chain,
+    so a t-path sharing t-1 vertices with it is one of three kinds: the
+    shift one step up (through the parent of p_1), a shift one step down
+    (through a child of p_t), or the path ending at a sibling of p_t
+    (another child of p_(t-1)).  Those vertices are off_path."""
     if path is None:
         path = leaf_generator(tree, t)
     path = tuple(path)
     last = path[-1]
     if tree.degree(last) != 1:
         raise ValueError(f"splitting path must end at a leaf; vertex {last} has degree {tree.degree(last)}")
+    if t < 2:
+        raise ValueError("paths need at least two vertices (t >= 2)")
     facet = frozenset(path)
-    facets = [frozenset(p) for p in enumerate_paths(tree, t)]
-    if facet not in facets:
+    chain = sorted(facet, key=lambda v: tree.levels.get(v, -1))
+    if len(chain) != t or not facet <= tree.levels.keys() or any(
+        tree.parent.get(below) != above for above, below in zip(chain, chain[1:])
+    ):
         raise ValueError("the given path is not a generator")
-    off_path: set[int] = set()
-    for other in facets:
-        if other != facet and len(other & facet) == t - 1:
-            off_path |= other - facet
+    top, second_lowest, bottom = chain[0], chain[-2], chain[-1]
+    off_path = set(tree.children[bottom]) | (set(tree.children[second_lowest]) - {bottom})
+    if top in tree.parent:
+        off_path.add(tree.parent[top])
     removed = frozenset(off_path) | facet
     return SplittingData(
         path=path,

@@ -4,15 +4,18 @@ These deliberately avoid the library's computation paths: Betti numbers
 come from the Taylor complex (Tor of the generators' lcm strands), ranks
 from dense Fraction/mod-p elimination, ideal equality from brute-force
 membership over all squarefree monomials, the simplicial-forest test from
-a scan of all 2^q subcollections of the q facets, and leaf orders from a
-backtracking search.
+a scan of all 2^q subcollections of the q facets, leaf orders from a
+backtracking search, and proper-chain distances from a search that scans
+every facet at every step.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 from pathideal.bits import bit_index, to_mask
+from pathideal.simplicial import Complex, is_pure
 
 
 def dense_rank(matrix, p=None):
@@ -216,3 +219,41 @@ def leaf_order_by_search(cx):
         return False
 
     return solvable(frozenset(range(q)))
+
+
+def proper_distances_by_scan(facets: list[frozenset], source: frozenset) -> dict:
+    """Breadth-first proper-chain distances from ``source`` to every facet
+    it reaches: consecutive facets share all but one vertex."""
+    size = len(source)
+    dist = {source: 0}
+    queue = [source]
+    while queue and size > 1:
+        nxt = []
+        for cur in queue:
+            for other in facets:
+                if other not in dist and len(cur & other) == size - 1:
+                    dist[other] = dist[cur] + 1
+                    nxt.append(other)
+        queue = nxt
+    return dist
+
+
+def properly_connected_by_scan(cx: Complex) -> tuple[bool, tuple | None]:
+    """A pure complex with facet size d+1 is properly-connected when every
+    facet pair with nonempty intersection is joined by a proper chain of
+    length exactly (d+1) - |intersection|."""
+    if cx.is_void:
+        return True, None
+    if not is_pure(cx):
+        raise ValueError("properly-connected is defined for pure complexes")
+    facets = cx.sorted_facets()
+    size = len(facets[0])
+    for i, F in enumerate(facets):
+        dist = proper_distances_by_scan(facets, F)
+        for G in facets[i + 1:]:
+            common = F & G
+            if not common:
+                continue
+            if dist.get(G, math.inf) != size - len(common):
+                return False, (F, G)
+    return True, None

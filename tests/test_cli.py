@@ -122,6 +122,12 @@ class TestChecks:
         assert main(["check", "simplicial-tree", str(path), "-t", "3"]) == 0
         assert "result: True" in capsys.readouterr().out
 
+    def test_properly_connected_on_long_line(self, tmp_path, capsys):
+        path = tmp_path / "line1000.tree"
+        path.write_text(format_tree(line(1000)))
+        assert main(["check", "properly-connected", str(path), "-t", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] is True
+
     def test_properly_connected_fails_on_example(self, example_file, capsys):
         assert main(["check", "properly-connected", example_file, "-t", "3"]) == 1
         assert main(["check", "properly-connected", example_file, "-t", "2"]) == 0

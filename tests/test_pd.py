@@ -18,7 +18,7 @@ from pathideal import pd
 from pathideal.corpus import line, random_tree, reroot, twelve_vertex_tree
 from pathideal.pd import line_order
 from pathideal.simplicial import facet_complex, is_properly_connected
-from pathideal.trees import Forest, RootedTree, component_trees, delete_vertices
+from pathideal.trees import Forest, RootedTree, component_trees, delete_vertices, enumerate_paths
 
 
 def shifted(tree, by):
@@ -68,6 +68,17 @@ class TestLeafGenerator:
         with pytest.raises(ValueError):
             leaf_generator(line(3), 4)
 
+    def test_matches_the_scan_of_all_paths(self):
+        for seed in range(60):
+            tree = random_tree(seed, 3 + seed % 10)
+            for t in (2, 3, 4, 5):
+                paths = enumerate_paths(tree, t)
+                if not paths:
+                    continue
+                deepest = max(tree.level(p[-1]) for p in paths)
+                expected = min(p for p in paths if tree.level(p[-1]) == deepest)
+                assert leaf_generator(tree, t) == expected, (seed, t)
+
 
 class TestSplittingData:
     def test_line_generic(self):
@@ -94,6 +105,22 @@ class TestSplittingData:
     def test_non_leaf_path_rejected(self):
         with pytest.raises(ValueError):
             splitting_data(line(8), 3, (1, 2, 3))
+
+    def test_off_path_matches_the_scan_of_all_paths(self):
+        """off_path is every vertex outside the split facet of every facet
+        sharing t-1 vertices with it, for the path in either order."""
+        for seed in range(60):
+            tree = random_tree(seed, 3 + seed % 10)
+            for t in (2, 3, 4, 5):
+                facets = [frozenset(p) for p in enumerate_paths(tree, t)]
+                for p in enumerate_paths(tree, t):
+                    facet = frozenset(p)
+                    expected = frozenset().union(
+                        *(G - facet for G in facets if G != facet and len(G & facet) == t - 1)
+                    )
+                    for order in (p, p[::-1]):
+                        if tree.degree(order[-1]) == 1:
+                            assert splitting_data(tree, t, order).off_path == expected, (seed, t, order)
 
 
 class TestRecursion:
@@ -125,6 +152,9 @@ class TestRecursion:
 
     def test_zero_ideal(self):
         assert pd_recursive(line(3), 4) == 0
+
+    def test_long_line(self):
+        assert pd_recursive(line(200), 3) == pd_line_closed_form(200, 3)
 
     def test_trace_records_steps(self):
         trace = []

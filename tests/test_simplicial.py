@@ -18,7 +18,12 @@ from pathideal import (
 )
 from pathideal.corpus import line, triangle_boundary, twelve_vertex_tree
 
-from oracles import leaf_order_by_search, simplicial_forest_by_scan
+from oracles import (
+    leaf_order_by_search,
+    proper_distances_by_scan,
+    properly_connected_by_scan,
+    simplicial_forest_by_scan,
+)
 
 # a leaf order exists, yet the first three facets have no leaf
 QUASI_FOREST = make_complex([{1, 2, 5}, {2, 3, 6}, {1, 3, 7}, {1, 2, 3, 8}])
@@ -183,3 +188,19 @@ class TestProperlyConnected:
             cx = facet_complex(path_ideal(twelve_vertex_tree(), t))
             assert is_pure(cx)
             assert all(len(f) == t for f in cx.facets)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.frozensets(st.integers(1, 8), min_size=d, max_size=d), min_size=1, max_size=9)
+    )
+)
+def test_proper_chains_match_the_scan(faces):
+    cx = make_complex(faces)
+    assert is_properly_connected(cx) == properly_connected_by_scan(cx)
+    facets = cx.sorted_facets()
+    for F in facets:
+        dist = proper_distances_by_scan(facets, F)
+        for G in facets:
+            assert proper_distance(cx, F, G) == dist.get(G, math.inf)

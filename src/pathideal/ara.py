@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Mapping
 
 from . import corpus
+from .bits import bit_index, to_mask
 from .errors import BoundExceededError, CheckFailedError
 from .homology import QQ, char_independence_report
 from .ideals import SquarefreeIdeal
@@ -317,15 +318,12 @@ def radical_point_check(
     """Necessary condition for radical equality, checked on all 0/1 points
     with integer arithmetic: wherever every witness vanishes, every
     generator must vanish too."""
-    universe = sorted(ideal.ambient)
-    n = len(universe)
+    n = len(ideal.ambient)
     if n > max_n:
         raise BoundExceededError(f"{n} variables exceeds the point-check bound {max_n}")
-    pos = {v: i for i, v in enumerate(universe)}
-    gen_masks = [sum(1 << pos[v] for v in g) for g in ideal.gens]
-    witness_masks = [
-        [sum(1 << pos[v] for v in m) for m, _ in w.terms] for w in witnesses
-    ]
+    index = bit_index(ideal.ambient)
+    gen_masks = [to_mask(g, index) for g in ideal.gens]
+    witness_masks = [[to_mask(m, index) for m, _ in w.terms] for w in witnesses]
     for point in range(1 << n):
         # a powered monomial evaluates to 1 exactly when its support is on
         all_zero = all(

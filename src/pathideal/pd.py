@@ -19,8 +19,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .homology import Field, QQ, betti_table_hochster, pd_from_betti
 from .ideals import SquarefreeIdeal, ideal_intersect, ideal_sum
-from .simplicial import facet_complex, is_properly_connected
-from .trees import Forest, RootedTree, TreeOrForest, component_trees, delete_vertices, enumerate_paths, path_ideal
+from .simplicial import _proper_neighbours, facet_complex, is_properly_connected
+from .trees import Forest, RootedTree, TreeOrForest, chain_above, component_trees
+from .trees import delete_vertices, enumerate_paths, path_ideal
 
 
 class NotProperlyConnectedError(RuntimeError):
@@ -52,12 +53,12 @@ def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
     """Detect I_t(L_n) up to relabeling and recover the vertices in path
     order.  The generators must all have one size t, and consecutive
     windows along the path share t-1 vertices, so the windows form a chain
-    under that relation, walked from an end.  Each vertex is placed by the
-    first and last window holding it; vertices that no window tells apart
-    are ordered by id, and of the two directions the order that reads
-    smaller is kept, so ids numbered along the path come back sorted.  The
-    windows of the order must then be exactly the generators.  Returns
-    (t, vertices in path order) or None."""
+    under that relation (``_proper_neighbours``), walked from an end.  Each
+    vertex is placed by the first and last window holding it; vertices that
+    no window tells apart are ordered by id, and of the two directions the
+    order that reads smaller is kept, so ids numbered along the path come
+    back sorted.  The windows of the order must then be exactly the
+    generators.  Returns (t, vertices in path order) or None."""
     if ideal.is_zero:
         return None
     sizes = {len(g) for g in ideal.gens}
@@ -68,30 +69,21 @@ def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
     gens = sorted(ideal.gens, key=sorted)
     if t < 2 or len(gens) != n - t + 1:
         return None
-    by_face: dict[frozenset, list[int]] = {}
-    for i, g in enumerate(gens):
-        for v in g:
-            by_face.setdefault(g - {v}, []).append(i)
-    neighbours: list[list[int]] = [[] for _ in gens]
-    for shared in by_face.values():
-        if len(shared) > 2:  # in a line, t-1 vertices lie in at most two windows
-            return None
-        if len(shared) == 2:
-            a, b = shared
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-    chain = [min(range(len(gens)), key=lambda i: len(neighbours[i]))]
+    neighbours = _proper_neighbours(gens)
+    if any(len(near) > 2 for near in neighbours.values()):  # a window of a line has at most two
+        return None
+    chain = [min(gens, key=lambda g: len(neighbours[g]))]
     while len(chain) < len(gens):
-        step = [i for i in neighbours[chain[-1]] if i not in chain[-2:]]
+        step = [g for g in neighbours[chain[-1]] if g not in chain[-2:]]
         if len(step) != 1:
             return None
         chain.append(step[0])
 
-    def order_along(windows: list[int]) -> list:
+    def order_along(windows: list[frozenset]) -> list:
         first: dict = {}
         last: dict = {}
-        for k, i in enumerate(windows):
-            for v in gens[i]:
+        for k, window in enumerate(windows):
+            for v in window:
                 first.setdefault(v, k)
                 last[v] = k
         return sorted(first, key=lambda v: (first[v], last[v], v))
@@ -103,14 +95,6 @@ def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
     return t, order
 
 
-def _chain_above(tree: RootedTree, end: int, t: int) -> tuple[int, ...]:
-    """The path of t vertices ending at ``end``, read from the top."""
-    chain = [end]
-    for _ in range(t - 1):
-        chain.append(tree.parent[chain[-1]])
-    return tuple(reversed(chain))
-
-
 def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
     """A generator path ending at a leaf of the tree: the smallest of the
     chains of t vertices above the deepest vertices.  A deepest vertex
@@ -120,7 +104,7 @@ def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
     deepest = tree.height()
     if deepest < t - 1:
         raise ValueError("the path ideal is zero; no generator to pick")
-    return min(_chain_above(tree, v, t) for v, level in tree.levels.items() if level == deepest)
+    return min(chain_above(tree, v, t) for v, level in tree.levels.items() if level == deepest)
 
 
 @dataclass(frozen=True)
@@ -184,14 +168,16 @@ def splitting_data(tree: RootedTree, t: int, path: tuple | None = None) -> Split
     )
 
 
-def _ahu_key(tree: RootedTree) -> tuple:
-    """Canonical encoding of the rooted shape; path ideals of isomorphic
-    rooted trees differ only by relabeling, so pd may be memoized on it."""
-
-    def encode(v: int) -> tuple:
-        return tuple(sorted(encode(c) for c in tree.children[v]))
-
-    return encode(tree.root)
+def _shape_id(tree: RootedTree, memo: dict) -> int:
+    """The rooted shape as an int (Aho-Hopcroft-Ullman): one pass up the
+    levels interns each vertex's sorted tuple of child ids.  Under one
+    table, ids are equal iff the rooted shapes are isomorphic, so their path
+    ideals differ only by relabeling.  The table is ``memo`` itself, under
+    tuple keys, so the ids live exactly as long as the pd values they key."""
+    ids: dict[int, int] = {}
+    for v in sorted(tree.vertices, key=tree.levels.__getitem__, reverse=True):
+        ids[v] = memo.setdefault(tuple(sorted(map(ids.__getitem__, tree.children[v]))), len(memo))
+    return ids[tree.root]
 
 
 @dataclass
@@ -202,37 +188,48 @@ class RecursionStep:
     removed: tuple
 
 
-def _pd_forest(forest_or_tree: TreeOrForest, t: int, memo: dict, trace: list | None) -> int:
-    comps = [c for c in component_trees(forest_or_tree) if c.height() >= t - 1]
-    return sum(_pd_tree(c, t, memo, trace) for c in comps)
+def _pieces(forest: Forest, t: int, memo: dict) -> list[tuple[RootedTree, int]]:
+    """The components with a nonzero path ideal, with their shape ids."""
+    return [(c, _shape_id(c, memo)) for c in forest.components if c.height() >= t - 1]
 
 
 def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, path: tuple | None = None) -> int:
-    """One leaf split, recursing on both pieces; the tree must be a piece
-    of a forest that passed pd_recursive's precondition check.  ``path``
-    prescribes the first split generator (default: leaf_generator); callers
-    that prescribe it pass a fresh memo, so that a memo hit cannot skip the
-    prescribed split and its value is not reused for other occurrences of
-    the shape."""
-    key = (_ahu_key(tree), t)
-    if key in memo:
-        return memo[key]
-    sd = splitting_data(tree, t, path)
-    if trace is not None:
-        trace.append(
-            RecursionStep(
-                tree_vertices=tuple(tree.vertices),
-                path=sd.path,
-                off_path=tuple(sorted(sd.off_path)),
-                removed=tuple(sorted(sd.removed)),
+    """pd(R/I_t) of a piece of a forest that passed pd_recursive's check,
+    by leaf splits in one loop over a stack of pieces; ``memo`` (one per t)
+    maps shape ids to pd.  A piece popped the first time is split once and
+    pushed back under the components of minus_leaf, then of minus_zone, so
+    splits, trace steps and memo hits come in the pre-order of a recursive
+    descent.  Popped again, its sub-pieces are all memoized and its value is
+    max(sum over minus_leaf, sum over minus_zone + off_path_count + 1).
+    ``path`` prescribes the first split generator (default:
+    leaf_generator); callers that prescribe it pass a fresh memo, so that a
+    memo hit cannot skip the prescribed split and its value is not reused
+    for other occurrences of the shape."""
+    root_key = _shape_id(tree, memo)
+    stack: list = [(tree, root_key, None)]
+    while stack:
+        piece, key, split = stack.pop()
+        if key in memo:
+            continue
+        if split is not None:
+            leaf, zone, count = split
+            memo[key] = max(sum(memo[k] for k in leaf), sum(memo[k] for k in zone) + count + 1)
+            continue
+        sd = splitting_data(piece, t, path)
+        path = None
+        if trace is not None:
+            trace.append(
+                RecursionStep(
+                    tree_vertices=tuple(piece.vertices),
+                    path=sd.path,
+                    off_path=tuple(sorted(sd.off_path)),
+                    removed=tuple(sorted(sd.removed)),
+                )
             )
-        )
-    value = max(
-        _pd_forest(sd.minus_leaf, t, memo, trace),
-        _pd_forest(sd.minus_zone, t, memo, trace) + sd.off_path_count + 1,
-    )
-    memo[key] = value
-    return value
+        leaf, zone = _pieces(sd.minus_leaf, t, memo), _pieces(sd.minus_zone, t, memo)
+        stack.append((piece, key, ([k for _, k in leaf], [k for _, k in zone], sd.off_path_count)))
+        stack.extend((sub, k, None) for sub, k in reversed(leaf + zone))
+    return memo[root_key]
 
 
 def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
@@ -248,12 +245,16 @@ def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
     piece is a vertex-deletion subforest, whose facets are the tree's paths
     that avoid the deleted vertices; so for two facets of a piece the chain
     survives in the piece.  An exhaustive test over small trees checks the
-    inheritance."""
+    inheritance.
+
+    The splits run in ``_pd_tree``'s loop, without Python recursion, and
+    one memo serves every component."""
     for tree in component_trees(g):
         ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
         if not ok:
             raise NotProperlyConnectedError(pair)
-    return _pd_forest(g, t, {}, trace)
+    memo: dict = {}
+    return sum(_pd_tree(c, t, memo, trace) for c in component_trees(g) if c.height() >= t - 1)
 
 
 def pd_quotient_hochster(

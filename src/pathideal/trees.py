@@ -205,21 +205,26 @@ def tree_from_json(text: str) -> RootedTree:
     return RootedTree.from_edges([tuple(e) for e in data["edges"]], root=data["root"])
 
 
+def chain_above(tree: RootedTree, end: int, t: int) -> tuple[int, ...]:
+    """The path of t vertices ending at ``end`` (level >= t-1), read from the top."""
+    chain = [end]
+    for _ in range(t - 1):
+        chain.append(tree.parent[chain[-1]])
+    return tuple(reversed(chain))
+
+
 def enumerate_paths(g: TreeOrForest, t: int) -> list[tuple[int, ...]]:
     """All directed downward paths on exactly t vertices, sorted by end
     vertex id.  Each path is the unique chain of t-1 ancestors above a
     vertex of level >= t-1."""
     if t < 2:
         raise ValueError("paths need at least two vertices (t >= 2)")
-    paths = []
-    for tree in component_trees(g):
-        for end in tree.vertices:
-            if tree.level(end) < t - 1:
-                continue
-            chain = [end]
-            for _ in range(t - 1):
-                chain.append(tree.parent[chain[-1]])
-            paths.append(tuple(reversed(chain)))
+    paths = [
+        chain_above(tree, end, t)
+        for tree in component_trees(g)
+        for end in tree.vertices
+        if tree.level(end) >= t - 1
+    ]
     paths.sort(key=lambda p: (p[-1], p))
     return paths
 
@@ -235,31 +240,26 @@ def path_ideal(g: TreeOrForest, t: int) -> SquarefreeIdeal:
 
 def delete_vertices(g: TreeOrForest, remove: Iterable[int]) -> Forest:
     """Remove the given vertices and all incident edges; each surviving
-    component is rooted at its unique vertex without a surviving parent."""
+    component is rooted at its unique vertex without a surviving parent.
+    Components come sorted by root, each the restriction of its tree's maps
+    read by one walk down from the root: children tuples stay sorted with
+    the deleted vertices left out, and levels count from the new root."""
     gone = set(remove)
-    survivors: list[int] = []
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {}
-    for tree in component_trees(g):
-        for v in tree.vertices:
-            if v in gone:
-                continue
-            survivors.append(v)
-            children.setdefault(v, [])
-            p = tree.parent.get(v)
-            if p is not None and p not in gone:
-                parent[v] = p
-                children.setdefault(p, []).append(v)
-
-    roots = sorted(v for v in survivors if v not in parent)
+    roots = {
+        r: tree
+        for tree in component_trees(g)
+        for r in tree.vertices
+        if r not in gone and (r == tree.root or tree.parent[r] in gone)
+    }
     comps = []
-    for r in roots:
-        comp_edges: list[tuple[int, int]] = []
-        stack = [r]
+    for r in sorted(roots):
+        tree, parent, children, levels, stack = roots[r], {}, {}, {r: 0}, [r]
         while stack:
             u = stack.pop()
+            kids = tree.children[u]
+            children[u] = kids if gone.isdisjoint(kids) else tuple(c for c in kids if c not in gone)
             for c in children[u]:
-                comp_edges.append((u, c))
-                stack.append(c)
-        comps.append(RootedTree.from_edges(comp_edges, root=r))
+                parent[c], levels[c] = u, levels[u] + 1
+            stack.extend(children[u])
+        comps.append(RootedTree(r, parent, children, levels, tuple(sorted(levels))))
     return Forest(tuple(comps))

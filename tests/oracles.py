@@ -5,17 +5,21 @@ come from the Taylor complex (Tor of the generators' lcm strands), ranks
 from dense Fraction/mod-p elimination, ideal equality from brute-force
 membership over all squarefree monomials, the simplicial-forest test from
 a scan of all 2^q subcollections of the q facets, leaf orders from a
-backtracking search, and proper-chain distances from a search that scans
-every facet at every step.
+backtracking search, proper-chain distances from a search that scans
+every facet at every step, vertex deletion from a rebuild of each
+component's edge list through ``RootedTree.from_edges``, and rooted shapes
+from the recursive nested-tuple AHU encoding.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 from pathideal.bits import bit_index, to_mask
 from pathideal.simplicial import Complex, is_pure
+from pathideal.trees import Forest, RootedTree, TreeOrForest, component_trees
 
 
 def dense_rank(matrix, p=None):
@@ -257,3 +261,45 @@ def properly_connected_by_scan(cx: Complex) -> tuple[bool, tuple | None]:
             if dist.get(G, math.inf) != size - len(common):
                 return False, (F, G)
     return True, None
+
+
+def delete_vertices_by_rebuild(g: TreeOrForest, remove: Iterable[int]) -> Forest:
+    """Remove the given vertices and all incident edges; each surviving
+    component is rooted at its unique vertex without a surviving parent."""
+    gone = set(remove)
+    survivors: list[int] = []
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    for tree in component_trees(g):
+        for v in tree.vertices:
+            if v in gone:
+                continue
+            survivors.append(v)
+            children.setdefault(v, [])
+            p = tree.parent.get(v)
+            if p is not None and p not in gone:
+                parent[v] = p
+                children.setdefault(p, []).append(v)
+
+    roots = sorted(v for v in survivors if v not in parent)
+    comps = []
+    for r in roots:
+        comp_edges: list[tuple[int, int]] = []
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for c in children[u]:
+                comp_edges.append((u, c))
+                stack.append(c)
+        comps.append(RootedTree.from_edges(comp_edges, root=r))
+    return Forest(tuple(comps))
+
+
+def ahu_nested_key(tree: RootedTree) -> tuple:
+    """Canonical encoding of the rooted shape; path ideals of isomorphic
+    rooted trees differ only by relabeling, so pd may be memoized on it."""
+
+    def encode(v: int) -> tuple:
+        return tuple(sorted(encode(c) for c in tree.children[v]))
+
+    return encode(tree.root)

@@ -107,6 +107,12 @@ class TestBettiPd:
         data = json.loads(capsys.readouterr().out)
         assert data["method"] == "hochster"
 
+    def test_pd_recursion_on_long_line(self, tmp_path, capsys):
+        path = tmp_path / "line1000.tree"
+        path.write_text(format_tree(line(1000)))
+        assert main(["pd", str(path), "-t", "3", "--method", "recursion", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pd_quotient"] == 500
+
     def test_pd_explicit_method(self, line8_file, capsys):
         assert main(["pd", line8_file, "-t", "3", "--method", "closed-form"]) == 0
         assert "pd_quotient: 4" in capsys.readouterr().out

@@ -1,5 +1,9 @@
+import random
+import sys
+
 import pytest
 
+from oracles import ahu_nested_key
 from pathideal import (
     NotProperlyConnectedError,
     leaf_generator,
@@ -156,6 +160,39 @@ class TestRecursion:
     def test_long_line(self):
         assert pd_recursive(line(200), 3) == pd_line_closed_form(200, 3)
 
+    def test_long_line_needs_no_deep_recursion(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            assert pd_recursive(line(1000), 3) == pd_line_closed_form(1000, 3)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_isomorphic_components_split_once(self):
+        alone, trace = [], []
+        value = pd_recursive(line(5), 2, trace=alone)
+        assert pd_recursive(Forest((line(5), shifted(line(5), 100))), 2, trace=trace) == 2 * value
+        assert trace == alone
+
+    def test_non_isomorphic_components_share_the_memo(self):
+        other = shifted(random_tree(3, 6), 100)
+        trace = []
+        value = pd_recursive(Forest((line(7), other)), 2, trace=trace)
+        assert value == pd_recursive(line(7), 2) + pd_recursive(other, 2) == 7
+        # the trace of the recursive implementation: the second component
+        # stops splitting where its pieces are lines already memoized
+        assert [(s.path, s.tree_vertices) for s in trace] == [
+            ((6, 7), (1, 2, 3, 4, 5, 6, 7)),
+            ((5, 6), (1, 2, 3, 4, 5, 6)),
+            ((4, 5), (1, 2, 3, 4, 5)),
+            ((3, 4), (1, 2, 3, 4)),
+            ((2, 3), (1, 2, 3)),
+            ((1, 2), (1, 2)),
+            ((105, 103), (101, 102, 103, 104, 105, 106)),
+            ((105, 104), (101, 102, 104, 105, 106)),
+            ((102, 105), (101, 102, 105, 106)),
+        ]
+
     def test_trace_records_steps(self):
         trace = []
         pd_recursive(line(6), 2, trace=trace)
@@ -181,6 +218,28 @@ class TestRecursion:
         with pytest.raises(NotProperlyConnectedError):
             pd_recursive(forest, 3, trace=trace)
         assert trace == []
+
+
+class TestShapeIds:
+    def test_ids_agree_with_the_nested_encoding(self):
+        """Under one table, two trees get equal shape ids iff their nested
+        AHU encodings are equal, across relabelled and rerooted copies."""
+        rng = random.Random(23)
+        trees = []
+        for seed in range(80):
+            tree = random_tree(seed, 2 + seed % 9)
+            ids = list(tree.vertices)
+            rng.shuffle(ids)
+            label = dict(zip(tree.vertices, ids))
+            relabelled = RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
+            trees += [tree, relabelled, reroot(tree, rng.choice(tree.vertices))]
+        memo: dict = {}
+        ids = [pd._shape_id(tree, memo) for tree in trees]
+        codes = [ahu_nested_key(tree) for tree in trees]
+        for i in range(len(trees)):
+            for j in range(len(trees)):
+                assert (ids[i] == ids[j]) == (codes[i] == codes[j]), (i, j)
+        assert len(set(codes)) < len(trees) // 2
 
 
 class TestInheritance:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from oracles import delete_vertices_by_rebuild
 from pathideal import (
     Forest,
     TreeError,
@@ -8,7 +11,7 @@ from pathideal import (
     parse_tree,
     path_ideal,
 )
-from pathideal.corpus import line, twelve_vertex_tree, twelve_vertex_tree_rerooted
+from pathideal.corpus import line, random_tree, reroot, twelve_vertex_tree, twelve_vertex_tree_rerooted
 from pathideal.trees import format_tree, tree_from_json, tree_to_json
 
 
@@ -191,6 +194,23 @@ class TestDeleteVertices:
         for comp in forest.components:
             for child, parent in comp.parent.items():
                 assert tree.parent[child] == parent
+
+    def test_restriction_matches_the_rebuild(self):
+        """Every field of every component, and the component order, agree
+        with rebuilding each component through from_edges, on trees and on
+        multi-component forests."""
+        rng = random.Random(17)
+        forests = 0
+        for seed in range(400):
+            tree = random_tree(seed, rng.randint(2, 16))
+            g = reroot(tree, rng.choice(tree.vertices)) if seed % 2 else tree
+            if seed % 3 == 0:
+                g = delete_vertices_by_rebuild(g, rng.sample(g.vertices, rng.randint(1, min(3, g.n - 1))))
+                forests += len(g.components) > 1
+            for _ in range(3):
+                gone = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+                assert delete_vertices(g, gone) == delete_vertices_by_rebuild(g, gone), (seed, gone)
+        assert forests > 50
 
     def test_forest_disjointness_enforced(self):
         with pytest.raises(TreeError):

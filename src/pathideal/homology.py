@@ -26,7 +26,15 @@ that elimination is certified (see ``linalg``), the homology is the same
 over every field and one entry, keyed without the field, answers them
 all.  Otherwise the field p is part of the key and each field asked for
 is computed on its own; a complex with torsion always takes this path,
-since certified ranks leave no room for a field-dependent answer.
+since certified ranks leave no room for a field-dependent answer.  The
+cache holds at most HOMOLOGY_CACHE_MAX entries: an insert that would pass
+the bound empties it first.
+
+The sequentially-CM test checks Duval's skeleton criterion with Reisner's
+test, but only where theory does not already settle the answer: on the
+skeleta of facet dimensions, at faces of a facet of that dimension (the
+proof is in ``is_sequentially_cm``).  ``is_cohen_macaulay`` tests every
+face.
 """
 from __future__ import annotations
 
@@ -161,6 +169,9 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
 # (kind, canonical masks, p) -> dims over one field when the Q elimination
 # was not certified (p is None for Q itself)
 _homology_cache: dict = {}
+# entries the cache may hold; an insert that would pass it empties the
+# cache first, which costs only recomputation since entries are pure
+HOMOLOGY_CACHE_MAX = 1 << 16
 
 FACETS = "facets"  # the masks generate the complex
 NON_FACES = "non-faces"  # the masks are the minimal non-faces over their union
@@ -189,6 +200,13 @@ def _faces_from_facets(facet_masks) -> set[int]:
     return faces
 
 
+def _remember(key: tuple, dims: dict[int, int]) -> dict[int, int]:
+    if len(_homology_cache) >= HOMOLOGY_CACHE_MAX:
+        _homology_cache.clear()
+    _homology_cache[key] = dims
+    return dims
+
+
 def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
     """Reduced homology over GF(p), or Q when p is None, of the complex
     described by canonical masks (see _canonical_faces) of the given kind.
@@ -211,15 +229,13 @@ def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
         dims, certified = _homology_from_faces(faces)
         if certified:
             certificate_stats["certified"] += 1
-            _homology_cache[(kind, canon)] = dims
-            return dims
-        _homology_cache[(kind, canon, None)] = dims
+            return _remember((kind, canon), dims)
+        _remember((kind, canon, None), dims)
         if p is None:
             return dims
     certificate_stats["per_field"] += 1
     dims, _ = _homology_from_faces(faces, p)
-    _homology_cache[(kind, canon, p)] = dims
-    return dims
+    return _remember((kind, canon, p), dims)
 
 
 def _facet_masks(cx: Complex) -> list[int]:
@@ -266,18 +282,24 @@ def _generator_masks(ideal: SquarefreeIdeal, max_n: int, bound_name: str) -> tup
     return universe, [to_mask(g, idx) for g in ideal.gens]
 
 
+def _maximal_faces(faces: set[int], n: int) -> list[int]:
+    """Facets of the complex whose faces, masks over bits 0..n-1, are
+    given: the faces with no one-vertex extension among them."""
+    return [
+        m for m in faces
+        if not any((m | 1 << b) in faces for b in range(n) if not m >> b & 1)
+    ]
+
+
 def stanley_reisner_complex(ideal: SquarefreeIdeal, max_n: int = DEFAULT_SR_MAX_N) -> Complex:
     """Faces are the subsets of the ambient universe containing no
     generator's support; returned in facet representation."""
     universe, gens = _generator_masks(ideal, max_n, "Stanley-Reisner bound")
     n = len(universe)
-    faces = _enumerate_faces((1 << n) - 1, gens)
-    facets = []
-    for m in faces:
-        if any((m | (1 << b)) in faces for b in range(n) if not m >> b & 1):
-            continue
-        facets.append(frozenset(universe[b] for b in iter_bits(m)))
-    return Complex(ideal.ambient, frozenset(facets))
+    facets = _maximal_faces(_enumerate_faces((1 << n) - 1, gens), n)
+    return Complex(
+        ideal.ambient, frozenset(frozenset(universe[b] for b in iter_bits(m)) for m in facets)
+    )
 
 
 def restrict(cx: Complex, vertices) -> Complex:
@@ -418,18 +440,20 @@ def char_independence_report(
     return (not diffs, diffs)
 
 
-def _reisner_cm_pure(top_faces: list[int], p: int | None) -> bool:
+def _reisner_cm_pure(top_faces: list[int], p: int | None, centres: set[int] | None = None) -> bool:
     """Reisner's criterion for the pure complex generated by equal-sized
-    top faces.  Links in a pure complex are pure, so a link whose top faces
-    share a vertex is a cone and passes vacuously; a one-dimensional link
-    only needs connectivity; the remaining links need their homology."""
+    top faces, tested at the faces in ``centres`` (every face when None).
+    Links in a pure complex are pure, so a link whose top faces share a
+    vertex is a cone and passes vacuously; a one-dimensional link only
+    needs connectivity; the remaining links need their homology."""
     if not top_faces:
         return True
     size = top_faces[0].bit_count()
     link_tops: dict[int, list[int]] = {}
     for F in top_faces:
         for sigma in submasks(F):
-            link_tops.setdefault(sigma, []).append(F & ~sigma)
+            if centres is None or sigma in centres:
+                link_tops.setdefault(sigma, []).append(F & ~sigma)
     for sigma, tops in link_tops.items():
         link_dim = size - sigma.bit_count() - 1
         if link_dim <= 0:
@@ -462,19 +486,42 @@ def is_cohen_macaulay(cx: Complex, field: Field = QQ) -> bool:
 def is_sequentially_cm(
     ideal: SquarefreeIdeal, field: Field = QQ, max_n: int = DEFAULT_SR_MAX_N
 ) -> bool:
-    """Sequential Cohen-Macaulayness of R/I via the skeleton criterion:
-    every pure i-skeleton of the Stanley-Reisner complex of I must be
-    Cohen-Macaulay over the field."""
+    """Sequential Cohen-Macaulayness of R/I via Duval's skeleton criterion:
+    every pure i-skeleton D^[i] of the Stanley-Reisner complex D of I must
+    be Cohen-Macaulay over the field.
+
+    Only the facet dimensions of D are visited, from the top down, and at
+    dimension i Reisner's test runs only at faces lying in an
+    i-dimensional facet of D.  This settles every other check, by
+    induction from the top dimension down, with D^[i+1] Cohen-Macaulay:
+
+    * Let s be a face of D^[i] in no i-dimensional facet of D.  Then every
+      i-face containing s lies in an (i+1)-face, so lk_{D^[i]} s is the
+      (i - |s|)-skeleton of lk_{D^[i+1]} s.
+    * Links of a Cohen-Macaulay complex are Cohen-Macaulay, and so are its
+      skeleta: the k-skeleton has the complex's reduced homology in every
+      degree below k, and its links are the skeleta of the links.
+
+    At the top dimension every face is tested, since every top face is a
+    facet.  At a facet dimension the untested faces are those of the first
+    case; at a dimension without facets, and below the smallest facet
+    dimension, every face is.
+    """
     if ideal.is_zero:
         return True
     universe, gens = _generator_masks(ideal, max_n, "bound")
-    faces = _enumerate_faces((1 << len(universe)) - 1, gens)
+    n = len(universe)
+    faces = _enumerate_faces((1 << n) - 1, gens)
     if not faces:
         return True
-    top = max(m.bit_count() for m in faces) - 1
-    for i in range(top, -1, -1):
-        generators = [m for m in faces if m.bit_count() == i + 1]
-        if not _reisner_cm_pure(generators, field.p):
+    facets = _maximal_faces(faces, n)
+    for size in sorted({F.bit_count() for F in facets}, reverse=True):
+        centres: set[int] = set()
+        for F in facets:
+            if F.bit_count() == size:
+                centres.update(submasks(F))
+        generators = [m for m in faces if m.bit_count() == size]
+        if not _reisner_cm_pure(generators, field.p, centres):
             return False
     return True
 

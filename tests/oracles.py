@@ -7,8 +7,11 @@ membership over all squarefree monomials, the simplicial-forest test from
 a scan of all 2^q subcollections of the q facets, leaf orders from a
 backtracking search, proper-chain distances from a search that scans
 every facet at every step, vertex deletion from a rebuild of each
-component's edge list through ``RootedTree.from_edges``, and rooted shapes
-from the recursive nested-tuple AHU encoding.
+component's edge list through ``RootedTree.from_edges``, rooted shapes
+from the recursive nested-tuple AHU encoding, and sequential
+Cohen-Macaulayness from Reisner's test on every pure skeleton at every
+face (through ``is_cohen_macaulay``, which test_homology checks against
+Reisner's definition).
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from itertools import combinations
 from typing import Iterable
 
 from pathideal.bits import bit_index, to_mask
-from pathideal.simplicial import Complex, is_pure
+from pathideal.homology import is_cohen_macaulay
+from pathideal.simplicial import Complex, is_pure, make_complex
 from pathideal.trees import Forest, RootedTree, TreeOrForest, component_trees
 
 
@@ -303,3 +307,24 @@ def ahu_nested_key(tree: RootedTree) -> tuple:
         return tuple(sorted(encode(c) for c in tree.children[v]))
 
     return encode(tree.root)
+
+
+def sequentially_cm_by_all_skeleta(ideal, field) -> bool:
+    """Duval's criterion checked in full: the Stanley-Reisner complex's
+    faces come from a scan of every subset of the ambient universe, and
+    every pure i-skeleton, i from the top down to 0, must pass
+    ``is_cohen_macaulay``, which applies Reisner's test at every face."""
+    universe = sorted(ideal.ambient)
+    faces = []
+    for mask in range(1 << len(universe)):
+        m = frozenset(universe[k] for k in range(len(universe)) if mask >> k & 1)
+        if not ideal.contains(m):
+            faces.append(m)
+    if not faces:
+        return True
+    top = max(len(f) for f in faces) - 1
+    for i in range(top, -1, -1):
+        skeleton = make_complex((f for f in faces if len(f) == i + 1), ambient=universe)
+        if not is_cohen_macaulay(skeleton, field):
+            return False
+    return True

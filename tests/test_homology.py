@@ -27,6 +27,7 @@ from pathideal import (
     zero_ideal,
 )
 from pathideal.corpus import (
+    corpus_ideals,
     four_cycle_edge_ideal,
     line,
     projective_plane_complex,
@@ -36,7 +37,7 @@ from pathideal.corpus import (
 from pathideal import homology
 from pathideal.homology import Field, assertion_stats
 
-from oracles import simple_homology, taylor_betti
+from oracles import sequentially_cm_by_all_skeleta, simple_homology, taylor_betti
 
 
 class TestField:
@@ -286,6 +287,39 @@ class TestHomologyCache:
                 assert assertion_stats[check] - before[check] >= entries[-1] > 0, check
         assert entries[0] == entries[1]
 
+    def test_bounded_cache_keeps_answers(self, monkeypatch):
+        cases = [path_ideal(line(7), 3), projective_plane_ideal(), four_cycle_edge_ideal()]
+        fields = (QQ, gf(2), gf(3))
+
+        def answers():
+            out = []
+            for ideal in cases:
+                tables = betti_tables_hochster(ideal, fields)
+                out.append([tables[f].entries for f in fields])
+                out.append([is_sequentially_cm(ideal, f) for f in fields])
+            return out
+
+        homology.clear_caches()
+        expected = answers()
+        bound = 3
+        sizes = []
+        compute = homology._homology_from_faces
+
+        def watched(*args, **kwargs):
+            # every insert follows a computation, so this sees each state
+            # the cache passes through
+            sizes.append(len(homology._homology_cache))
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(homology, "HOMOLOGY_CACHE_MAX", bound)
+        monkeypatch.setattr(homology, "_homology_from_faces", watched)
+        homology.clear_caches()
+        assert answers() == expected
+        sizes.append(len(homology._homology_cache))
+        assert max(sizes) <= bound
+        assert len(sizes) > 2 * bound  # the bound was reached more than once
+        homology.clear_caches()
+
 
 class TestSequentiallyCM:
     def test_path_ideals(self):
@@ -301,6 +335,59 @@ class TestSequentiallyCM:
 
     def test_zero_ideal(self):
         assert is_sequentially_cm(zero_ideal({1, 2}), QQ)
+
+    def test_failures_below_the_top_facet_dimension(self):
+        # facets {1,2,3}, {4,5}, {5,6}: the pure 1-skeleton is disconnected,
+        # so the empty face fails at dimension 1; in the cone with apex 7
+        # only lk{7} fails, at dimension 2
+        for facets in ([{1, 2, 3}, {4, 5}, {5, 6}], [{1, 2, 3, 7}, {4, 5, 7}, {5, 6, 7}]):
+            ideal = _stanley_reisner_ideal(facets)
+            for field in (QQ, gf(2)):
+                assert not is_sequentially_cm(ideal, field), (facets, field)
+                assert not sequentially_cm_by_all_skeleta(ideal, field), (facets, field)
+
+    def test_projective_plane_fails_over_gf2_only(self):
+        ideal = projective_plane_ideal()
+        for field, expected in ((QQ, True), (gf(2), False), (gf(3), True)):
+            assert is_sequentially_cm(ideal, field) is expected, field
+            assert sequentially_cm_by_all_skeleta(ideal, field) is expected, field
+
+    def test_corpus_matches_the_all_skeleta_oracle(self):
+        for _, _, _, ideal in corpus_ideals():
+            _assert_matches_oracle(ideal)
+
+
+SCM_UNIVERSE = range(1, 8)
+
+
+def _stanley_reisner_ideal(facets, universe=SCM_UNIVERSE):
+    """The minimal non-faces of the complex generated by the facets."""
+    vertices = sorted(universe)
+    non_faces = []
+    for size in range(len(vertices) + 1):
+        for c in combinations(vertices, size):
+            if not any(set(c) <= set(f) for f in facets):
+                non_faces.append(c)
+    return make_ideal(non_faces, ambient=vertices)
+
+
+def _assert_matches_oracle(ideal):
+    for field in (QQ, gf(2)):
+        assert is_sequentially_cm(ideal, field) == sequentially_cm_by_all_skeleta(ideal, field), (
+            str(ideal), str(field))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.sampled_from(SCM_UNIVERSE), min_size=1, max_size=5), min_size=1, max_size=6))
+def test_sequentially_cm_matches_oracle_on_stanley_reisner_ideals(facets):
+    _assert_matches_oracle(_stanley_reisner_ideal(facets))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sets(st.sampled_from(list(combinations(SCM_UNIVERSE, 2))), min_size=10, max_size=16))
+def test_sequentially_cm_matches_oracle_on_edge_ideals(edges):
+    # graphs this dense give many "no" answers: 20 of these 80 draws
+    _assert_matches_oracle(make_ideal(edges, ambient=SCM_UNIVERSE))
 
 
 class TestBounds:

@@ -4,18 +4,23 @@ An ordered partition P_0,...,P_r of the minimal generators certifies
 ara(I) <= r+1 when (1) the parts cover the generators, (2) P_0 is a
 singleton, and (3) for distinct p, p' in a part P_i with i > 0 some
 generator in an earlier part divides p*p'.  The witnesses are the sums
-q_i = sum over p in P_i of p^e(p).  Lyubeznik's inequality
-pd(R/I) <= ara(I) supplies the lower bound, so a valid partition into
-exactly pd(R/I) parts (a "good partition") pins ara exactly.
+q_i = sum over p in P_i of p, so the partition is its own witness set.
+Lyubeznik's inequality pd(R/I) <= ara(I) supplies the lower bound, so a
+valid partition into exactly pd(R/I) parts (a "good partition") pins ara
+exactly.
+
+A witness vanishes at a 0/1 point iff none of its monomials is on there,
+and a point where every witness vanishes but a generator g is on can be
+shrunk to the point supp(g).  So ``radical_point_check`` settles the test
+over all 2^n points by divisibility alone: every generator must be
+divisible by some part monomial.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
 
 from . import corpus
-from .bits import bit_index, to_mask
 from .errors import BoundExceededError, CheckFailedError
 from .homology import QQ, char_independence_report
 from .ideals import SquarefreeIdeal
@@ -23,37 +28,16 @@ from .pd import line_order, pd_line_closed_form, pd_quotient_hochster
 from .trees import path_ideal
 
 DEFAULT_SEARCH_MAX_GENS = 14
-DEFAULT_POINT_CHECK_MAX_N = 20
 
 
 @dataclass(frozen=True)
 class SVPartition:
-    """Ordered parts of generator monomials, with optional exponents
-    (default 1) used when forming the witness sums."""
+    """Ordered parts of generator monomials; part i is the witness sum q_i."""
 
     parts: tuple
-    exponents: Mapping | None = None
-
-    def exponent(self, monomial: frozenset) -> int:
-        if self.exponents is None:
-            return 1
-        return self.exponents.get(monomial, 1)
 
     def sorted_parts(self) -> list[list[tuple[int, ...]]]:
         return [sorted(tuple(sorted(m)) for m in part) for part in self.parts]
-
-
-@dataclass(frozen=True)
-class WitnessPolynomial:
-    """A formal sum of powered squarefree monomials, one per part."""
-
-    terms: tuple  # of (support frozenset, exponent)
-
-
-def _divides_product(q: frozenset, p: frozenset, p2: frozenset) -> bool:
-    # exponent vector of p*p2 has entries up to 2; q is squarefree, so
-    # divisibility amounts to support containment in the union
-    return q <= (p | p2)
 
 
 def verify_sv_conditions(partition: SVPartition, ideal: SquarefreeIdeal) -> tuple[bool, tuple | None]:
@@ -76,26 +60,11 @@ def verify_sv_conditions(partition: SVPartition, ideal: SquarefreeIdeal) -> tupl
     earlier: set[frozenset] = set(parts[0])
     for k in range(1, len(parts)):
         for p, p2 in combinations(sorted(parts[k], key=sorted), 2):
-            if not any(_divides_product(q, p, p2) for q in earlier):
+            # q is squarefree, so q | p*p2 iff supp(q) lies in the union
+            if not any(q <= p | p2 for q in earlier):
                 return False, ("condition(3)", k, tuple(sorted(p)), tuple(sorted(p2)))
         earlier |= parts[k]
     return True, None
-
-
-def sv_witnesses(partition: SVPartition, ideal: SquarefreeIdeal) -> list[WitnessPolynomial]:
-    """The r+1 witness sums certifying that the generators and the
-    witnesses have the same radical."""
-    ok, violation = verify_sv_conditions(partition, ideal)
-    if not ok:
-        raise ValueError(f"partition violates the Schmitt-Vogel conditions: {violation}")
-    out = []
-    for part in partition.parts:
-        terms = tuple(
-            (frozenset(m), partition.exponent(frozenset(m)))
-            for m in sorted(part, key=sorted)
-        )
-        out.append(WitnessPolynomial(terms))
-    return out
 
 
 def construct_partition_t3(n: int) -> SVPartition:
@@ -135,12 +104,6 @@ def construct_partition_t3(n: int) -> SVPartition:
     return partition
 
 
-def recognize_line_ideal(ideal: SquarefreeIdeal) -> tuple[int, int] | None:
-    """Detect I_t(L_n) up to relabeling; returns (t, n) or None."""
-    line = line_order(ideal)
-    return (line[0], len(line[1])) if line else None
-
-
 def line_partition_t3(ideal: SquarefreeIdeal) -> SVPartition | None:
     """The explicit t=3 partition of ``construct_partition_t3`` on the
     ideal's own vertices, or None unless the ideal is I_3 of a line.
@@ -159,20 +122,19 @@ def line_partition_t3(ideal: SquarefreeIdeal) -> SVPartition | None:
     )
 
 
-def good_partition_search(
-    ideal: SquarefreeIdeal, parts: int, max_gens: int = DEFAULT_SEARCH_MAX_GENS
-) -> SVPartition | None:
+def good_partition_search(ideal: SquarefreeIdeal, parts: int) -> SVPartition | None:
     """Exhaustive backtracking over ordered partitions of the generators
     into exactly ``parts`` nonempty parts with a singleton first part and
     condition (3) enforced part by part.
 
     For line-graph path ideals the search is pruned soundly: inside a part
     the window indices i < j must satisfy i+1 < j <= i+t, so parts hold at
-    most floor(t/2)+1 generators.
+    most floor(t/2)+1 generators.  Ideals with more than
+    ``DEFAULT_SEARCH_MAX_GENS`` generators raise BoundExceededError.
     """
     gens = sorted(ideal.gens, key=sorted)
-    if len(gens) > max_gens:
-        raise BoundExceededError(f"{len(gens)} generators exceeds the search bound {max_gens}")
+    if len(gens) > DEFAULT_SEARCH_MAX_GENS:
+        raise BoundExceededError(f"{len(gens)} generators exceeds the search bound {DEFAULT_SEARCH_MAX_GENS}")
     if parts < 1 or parts > len(gens):
         return None
 
@@ -259,19 +221,13 @@ def singleton_partition(ideal: SquarefreeIdeal) -> SVPartition:
 
 
 def partition_to_jsonable(partition: SVPartition) -> dict:
-    exponents = partition.exponents or {}
-    return {
-        "parts": partition.sorted_parts(),
-        "exponents": sorted([sorted(m), e] for m, e in exponents.items()),
-    }
+    return {"parts": partition.sorted_parts()}
 
 
 def partition_from_jsonable(data: dict) -> SVPartition:
-    parts = tuple(
-        frozenset(frozenset(m) for m in part) for part in data["parts"]
-    )
-    exponents = {frozenset(m): e for m, e in data.get("exponents", [])} or None
-    return SVPartition(parts, exponents)
+    """Reads ``data["parts"]``; other keys, such as the empty "exponents"
+    list that older writers added, are ignored."""
+    return SVPartition(tuple(frozenset(frozenset(m) for m in part) for part in data["parts"]))
 
 
 def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
@@ -280,9 +236,9 @@ def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
     singleton fallback)."""
     if ideal.is_zero:
         return AraBounds(0, 0, True, None, "zero ideal")
-    line = recognize_line_ideal(ideal)
+    line = line_order(ideal)
     if line:
-        t, n = line
+        t, n = line[0], len(line[1])
         lower = pd_line_closed_form(n, t)
         note = f"line graph with t={t}, n={n}"
     else:
@@ -293,7 +249,7 @@ def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
         note = "pd from Hochster tables"
 
     partition: SVPartition | None = None
-    if line and line[0] == 3 and line[1] % 4 != 2:
+    if line and t == 3 and n % 4 != 2:
         partition = line_partition_t3(ideal)
     elif len(ideal.gens) <= DEFAULT_SEARCH_MAX_GENS and lower >= 1:
         partition = good_partition_search(ideal, lower)
@@ -310,25 +266,21 @@ def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
     return AraBounds(lower, upper, lower == upper, partition, note)
 
 
-def radical_point_check(
-    witnesses: list[WitnessPolynomial],
-    ideal: SquarefreeIdeal,
-    max_n: int = DEFAULT_POINT_CHECK_MAX_N,
-) -> bool:
-    """Necessary condition for radical equality, checked on all 0/1 points
-    with integer arithmetic: wherever every witness vanishes, every
-    generator must vanish too."""
-    n = len(ideal.ambient)
-    if n > max_n:
-        raise BoundExceededError(f"{n} variables exceeds the point-check bound {max_n}")
-    index = bit_index(ideal.ambient)
-    gen_masks = [to_mask(g, index) for g in ideal.gens]
-    witness_masks = [[to_mask(m, index) for m, _ in w.terms] for w in witnesses]
-    for point in range(1 << n):
-        # a powered monomial evaluates to 1 exactly when its support is on
-        all_zero = all(
-            sum(1 for m in terms if m & point == m) == 0 for terms in witness_masks
-        )
-        if all_zero and any(g & point == g for g in gen_masks):
-            return False
-    return True
+def radical_point_check(partition: SVPartition, ideal: SquarefreeIdeal) -> bool:
+    """Necessary condition for radical equality on 0/1 points: wherever
+    every witness q_i = sum of the monomials of part i vanishes, every
+    generator vanishes too.  Gives the verdict of the scan over all 2^n
+    points for any parts, valid or not.
+
+    At a 0/1 point a witness is the number of its monomials that are on,
+    so it vanishes iff none is on.  If some point P fails, with every
+    witness zero and a generator g on, then the point supp(g) <= P fails
+    too: a monomial on at supp(g) would be on at P.  So the check over all
+    2^n points holds iff every generator is divisible by some monomial of
+    some part.  A part monomial outside the ambient set raises ValueError.
+    """
+    monomials = {frozenset(m) for part in partition.parts for m in part}
+    outside = frozenset().union(*monomials) - ideal.ambient
+    if outside:
+        raise ValueError(f"witness variables {sorted(outside)} lie outside the ambient set")
+    return all(any(m <= g for m in monomials) for g in ideal.gens)

@@ -270,7 +270,7 @@ def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list
         _require(caught, "mutated closed form was not caught")
         # a witness set missing a generator must fail the point check
         ideal = make_ideal([{1, 2}, {3, 4}], ambient={1, 2, 3, 4})
-        broken = [ara_mod.WitnessPolynomial(((frozenset({1, 2}), 1),))]
+        broken = ara_mod.SVPartition((frozenset({frozenset({1, 2})}),))
         _require(not ara_mod.radical_point_check(broken, ideal), "broken witnesses passed")
 
     def c_json_roundtrip():

@@ -8,10 +8,11 @@ a scan of all 2^q subcollections of the q facets, leaf orders from a
 backtracking search, proper-chain distances from a search that scans
 every facet at every step, vertex deletion from a rebuild of each
 component's edge list through ``RootedTree.from_edges``, rooted shapes
-from the recursive nested-tuple AHU encoding, and sequential
+from the recursive nested-tuple AHU encoding, sequential
 Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
-Reisner's definition).
+Reisner's definition), and the 0/1-point test of Schmitt-Vogel witnesses
+from a scan of all 2^n points.
 """
 from __future__ import annotations
 
@@ -326,5 +327,19 @@ def sequentially_cm_by_all_skeleta(ideal, field) -> bool:
     for i in range(top, -1, -1):
         skeleton = make_complex((f for f in faces if len(f) == i + 1), ambient=universe)
         if not is_cohen_macaulay(skeleton, field):
+            return False
+    return True
+
+
+def radical_point_check_by_scan(partition, ideal) -> bool:
+    """Evaluate the witness sums (one per part) and the generators at all
+    2^n 0/1 points with integer arithmetic: wherever every witness
+    vanishes, every generator must vanish too."""
+    index = bit_index(ideal.ambient)
+    gen_masks = [to_mask(g, index) for g in ideal.gens]
+    witness_masks = [[to_mask(m, index) for m in part] for part in partition.parts]
+    for point in range(1 << len(ideal.ambient)):
+        all_zero = all(sum(1 for m in terms if m & point == m) == 0 for terms in witness_masks)
+        if all_zero and any(g & point == g for g in gen_masks):
             return False
     return True

@@ -12,13 +12,14 @@ from pathideal import (
     path_ideal,
     pd_line_closed_form,
     radical_point_check,
-    sv_witnesses,
     verify_sv_conditions,
 )
-from pathideal.ara import recognize_line_ideal, singleton_partition
+from pathideal.ara import partition_from_jsonable, partition_to_jsonable, singleton_partition
 from pathideal.corpus import line, random_tree
 from pathideal.pd import line_order
 from pathideal.trees import RootedTree
+
+from oracles import radical_point_check_by_scan
 
 
 def m3(i):
@@ -71,27 +72,6 @@ class TestConditions:
         partition = SVPartition((frozenset({m3(1), m3(3)}), frozenset({m3(2)})))
         ok, violation = verify_sv_conditions(partition, path_ideal(line(5), 3))
         assert not ok and violation[0] == "condition(2)"
-
-
-class TestWitnesses:
-    def test_counts(self):
-        ideal = path_ideal(line(8), 3)
-        witnesses = sv_witnesses(construct_partition_t3(8), ideal)
-        assert len(witnesses) == 4
-        assert witnesses[0].terms == ((m3(2), 1),)
-
-    def test_exponents(self):
-        ideal = make_ideal([{1, 2, 3}], ambient={1, 2, 3})
-        partition = SVPartition(
-            (frozenset({frozenset({1, 2, 3})}),), exponents={frozenset({1, 2, 3}): 2}
-        )
-        (w,) = sv_witnesses(partition, ideal)
-        assert w.terms == ((frozenset({1, 2, 3}), 2),)
-
-    def test_invalid_partition_rejected(self):
-        ideal = path_ideal(line(5), 3)
-        with pytest.raises(ValueError):
-            sv_witnesses(SVPartition((frozenset({m3(1)}),)), ideal)
 
 
 class TestConstruction:
@@ -154,7 +134,7 @@ class TestSearch:
 
     def test_bound(self):
         with pytest.raises(BoundExceededError):
-            good_partition_search(path_ideal(line(20), 3), 4, max_gens=10)
+            good_partition_search(path_ideal(line(20), 3), 4)
 
     def test_relabelled_lines(self):
         # the window pruning must follow the path, not the sorted ids
@@ -175,31 +155,35 @@ class TestInequality:
 
 class TestRecognition:
     def test_lines(self):
-        assert recognize_line_ideal(path_ideal(line(9), 3)) == (3, 9)
+        t, order = line_order(path_ideal(line(9), 3))
+        assert (t, len(order)) == (3, 9)
 
     def test_shifted_labels(self):
         ideal = make_ideal([{10, 20}, {20, 30}], ambient={10, 20, 30})
-        assert recognize_line_ideal(ideal) == (2, 3)
+        t, order = line_order(ideal)
+        assert (t, len(order)) == (2, 3)
 
     def test_non_line(self):
         from pathideal.corpus import twelve_vertex_tree
 
-        assert recognize_line_ideal(path_ideal(twelve_vertex_tree(), 3)) is None
+        assert line_order(path_ideal(twelve_vertex_tree(), 3)) is None
 
     def test_line_not_numbered_along_the_path(self):
         # 2 -> 1 -> 3 -> 4 -> ... -> 20: sorted ids are not the path order
         tree = line_through([2, 1] + list(range(3, 21)))
-        assert recognize_line_ideal(path_ideal(tree, 3)) == (3, 20)
+        t, order = line_order(path_ideal(tree, 3))
+        assert (t, len(order)) == (3, 20)
 
     def test_star_is_not_a_line(self):
         ideal = make_ideal([{1, 2}, {1, 3}, {1, 4}], ambient={1, 2, 3, 4})
-        assert recognize_line_ideal(ideal) is None
+        assert line_order(ideal) is None
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.integers(2, 5), st.permutations(range(1, 13)), st.integers(0, 12))
     def test_randomly_labelled_lines(self, t, ids, drop):
         ids = ids[: max(t, 12 - drop)]
-        assert recognize_line_ideal(path_ideal(line_through(ids), t)) == (t, len(ids))
+        found_t, order = line_order(path_ideal(line_through(ids), t))
+        assert (found_t, len(order)) == (t, len(ids))
 
     def test_recovered_order_on_random_trees(self):
         for seed in range(200):
@@ -241,43 +225,67 @@ class TestBounds:
                 assert bounds.lower <= bounds.upper
 
 
+@st.composite
+def ideals_with_witness_sets(draw):
+    """A random ideal on at most 6 variables and random parts drawn from its
+    generators, other monomials of the ambient set and the empty monomial."""
+    ambient = list(range(1, draw(st.integers(1, 6)) + 1))
+    subsets = st.frozensets(st.sampled_from(ambient), max_size=len(ambient))
+    gens = st.frozensets(st.sampled_from(ambient), min_size=1, max_size=len(ambient))
+    ideal = make_ideal(draw(st.lists(gens, max_size=5)), ambient=ambient)
+    monomials = subsets
+    if ideal.gens:
+        monomials = st.one_of(st.sampled_from(sorted(ideal.gens, key=sorted)), subsets)
+    parts = draw(st.lists(st.frozensets(monomials, max_size=3), max_size=4))
+    return ideal, SVPartition(tuple(parts))
+
+
 class TestPointCheck:
     def test_valid_witnesses(self):
         ideal = path_ideal(line(8), 3)
-        witnesses = sv_witnesses(construct_partition_t3(8), ideal)
-        assert radical_point_check(witnesses, ideal)
+        assert radical_point_check(construct_partition_t3(8), ideal)
 
     def test_singleton_partition_witnesses(self):
         ideal = make_ideal([{1, 2}, {3, 4}], ambient={1, 2, 3, 4})
-        witnesses = sv_witnesses(singleton_partition(ideal), ideal)
-        assert radical_point_check(witnesses, ideal)
+        assert radical_point_check(singleton_partition(ideal), ideal)
 
     def test_broken_witnesses_fail(self):
-        from pathideal import WitnessPolynomial
-
         ideal = make_ideal([{1, 2}, {3, 4}], ambient={1, 2, 3, 4})
-        broken = [WitnessPolynomial(((frozenset({1, 2}), 1),))]
+        broken = SVPartition((frozenset({frozenset({1, 2})}),))
         assert not radical_point_check(broken, ideal)
 
-    def test_bound(self):
-        ideal = path_ideal(line(25), 3)
-        with pytest.raises(BoundExceededError):
-            radical_point_check([], ideal, max_n=20)
+    def test_long_line_beyond_any_scan(self):
+        ideal = path_ideal(line(60), 3)
+        assert radical_point_check(ara_bounds(ideal).partition, ideal)
+        missing = construct_partition_t3(59).parts
+        assert not radical_point_check(SVPartition(missing), ideal)
+
+    def test_monomial_outside_the_ambient_set(self):
+        ideal = make_ideal([{1, 2}, {3, 4}], ambient={1, 2, 3, 4})
+        with pytest.raises(ValueError):
+            radical_point_check(SVPartition((frozenset({frozenset({1, 5})}),)), ideal)
+
+    def test_matches_the_scan(self):
+        verdicts = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True)
+        @given(ideals_with_witness_sets())
+        def check(case):
+            ideal, partition = case
+            verdict = radical_point_check(partition, ideal)
+            assert verdict == radical_point_check_by_scan(partition, ideal)
+            verdicts.add(verdict)
+
+        check()
+        assert verdicts == {True, False}
 
 
 class TestPartitionJson:
     def test_roundtrip(self):
-        from pathideal.ara import partition_from_jsonable, partition_to_jsonable
-
         partition = construct_partition_t3(9)
         assert partition_from_jsonable(partition_to_jsonable(partition)) == partition
 
-    def test_roundtrip_with_exponents(self):
-        from pathideal.ara import partition_from_jsonable, partition_to_jsonable
-
-        partition = SVPartition(
-            (frozenset({frozenset({1, 2, 3})}),), exponents={frozenset({1, 2, 3}): 2}
-        )
-        back = partition_from_jsonable(partition_to_jsonable(partition))
-        assert back.parts == partition.parts
-        assert back.exponent(frozenset({1, 2, 3})) == 2
+    def test_reads_the_old_writers_output(self):
+        partition = construct_partition_t3(9)
+        old = {"parts": partition.sorted_parts(), "exponents": []}
+        assert partition_from_jsonable(old) == partition

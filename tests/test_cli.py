@@ -173,6 +173,14 @@ class TestAra:
         data = json.loads(capsys.readouterr().out)
         assert data["point_check"] is True
 
+    def test_point_check_on_a_line_of_25(self, tmp_path, capsys):
+        path = tmp_path / "line25.tree"
+        path.write_text(format_tree(line(25)))
+        assert main(["ara", str(path), "-t", "3", "--point-check", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["point_check"] is True
+        assert len(data["witnesses"]) == data["upper"] == data["lower"]
+
     def test_construct_t3_uses_tree_ids(self, tmp_path, capsys):
         tree = RootedTree.from_edges([(10, 20), (20, 30), (30, 40), (40, 50)], root=10)
         path = tmp_path / "tens.tree"

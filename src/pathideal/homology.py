@@ -14,7 +14,10 @@ Conventions (they matter for the degenerate corners of Hochster's sum):
 Every homology computation checks that consecutive boundary maps compose
 to zero and that the Euler characteristic matches the alternating face
 count minus one, raising CheckFailedError otherwise (also under
-``python -O``).  All arithmetic is exact.
+``python -O``).  All arithmetic is exact.  The boundary maps are ranked
+from the top dimension down, and each d_k only on the k-faces that were
+not pivot rows of d_{k+1}, which leaves every rank as it is (the clearing
+lemma in ``linalg``).
 
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
 order-independent.  One module-level cache serves all of them: it is keyed
@@ -139,14 +142,20 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
                 raise CheckFailedError("boundary composed with boundary is nonzero")
         assertion_stats["boundary_squared"] += 1
 
+    # top down: the k-faces that were pivot rows of d_{k+1} are cleared
+    # from the columns of d_k, which leaves its rank as it is (see linalg)
     ranks = {k: 0 for k in range(top + 2)}
     certified = True
-    for k in range(0, top + 1):
+    cleared: set[int] = set()
+    for k in range(top, -1, -1):
         rows: list[dict[int, int]] = [{} for _ in by_dim[k - 1]]
         for j, col in enumerate(cols[k]):
+            if j in cleared:
+                continue
             for i, s in col:
                 rows[i][j] = s
-        ranks[k], rank_certified = sparse_rank(rows, p)
+        cleared = set()
+        ranks[k], rank_certified = sparse_rank(rows, p, cleared)
         certified = certified and rank_certified
 
     counts = {k: len(by_dim.get(k, ())) for k in range(-1, top + 1)}
@@ -388,7 +397,7 @@ def betti_tables_hochster(
     universe, gens = _generator_masks(
         ideal, DEFAULT_HOCHSTER_MAX_N if max_n is None else max_n, "Hochster bound"
     )
-    fields = tuple(fields)
+    fields = tuple(dict.fromkeys(fields))  # a repeated field would add twice
     tables = {f: BettiTable({}, "ideal", f) for f in fields}
     if ideal.is_zero:
         return tables

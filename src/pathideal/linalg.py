@@ -18,6 +18,25 @@ chosen).  Reduced mod p that block is still invertible and the other rows
 are still zero, so the rank mod p equals the rank r over Q.
 ``sparse_rank`` reports this as ``certified``: the rank then holds over Q
 and over every GF(p).
+
+Pivot rows.  Each row of the current matrix is its input row plus a
+combination of earlier pivot rows, so the input rows that became pivots
+span the same space as their current forms, which are triangular on the
+pivot columns.  The input pivot rows are therefore independent over the
+field.  Over Q the triangular block has +-1 on its diagonal and the
+combinations have integer coefficients, so they stay independent mod
+every prime, with or without a leftover core.
+
+Clearing (Chen-Kerber's twist).  Let P be a set of rows of d_{k+1} (they
+are k-faces) that is independent over a field F.  Then d_{k+1} restricted
+to the rows P has full row rank, so for each s in P some boundary
+z = d_{k+1} w has z_s = 1 and z_t = 0 for the other t in P.  Since
+d_k z = 0, column s of d_k is a combination of the columns outside P, and
+rank d_k over F equals the rank of the columns of d_k outside P.  When P
+holds the pivot rows of an elimination of d_{k+1} over Q, it is
+independent over Q and over every GF(p), so the lemma holds over every
+field at once, and a certified rank of the cleared d_k is still the rank
+of d_k over every field.
 """
 from __future__ import annotations
 
@@ -50,7 +69,9 @@ def bareiss_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> tuple[int, bool]:
+def sparse_rank(
+    rows: list[dict[int, int]], p: int | None = None, pivot_rows: set[int] | None = None
+) -> tuple[int, bool]:
     """(rank, certified) of a sparse integer matrix over GF(p), or over Q
     when p is None.
 
@@ -60,6 +81,12 @@ def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> tuple[int, 
     left goes to ``bareiss_rank``.  ``certified`` is true only over Q with
     no such leftover core, and then the rank is the same over every GF(p)
     (see the module docstring).  The input rows are copied, not changed.
+
+    When ``pivot_rows`` is given, the index of every row that becomes a
+    pivot of the sparse elimination is added to it.  Those rows of the
+    input are linearly independent over the field, and over Q also mod
+    every prime; there are as many as the rank unless a Bareiss core was
+    left, whose rows are not reported.
     """
     rationals = p is None
     if rationals:
@@ -132,6 +159,8 @@ def sparse_rank(rows: list[dict[int, int]], p: int | None = None) -> tuple[int, 
         progressed = True
         r, c = pivot
         rank += 1
+        if pivot_rows is not None:
+            pivot_rows.add(r)
         pv = rows[r][c]
         inv = pv if rationals else pow(pv, -1, p)  # pv is +-1 over Q
         pivot_row = rows[r]

@@ -5,7 +5,7 @@ import textwrap
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathideal import (
     BoundExceededError,
@@ -160,6 +160,15 @@ class TestHochster:
         assert tables[QQ].entries == betti_table_hochster(ideal, QQ).entries
         assert tables[gf(2)].entries == betti_table_hochster(ideal, gf(2)).entries
 
+    def test_repeated_field_counts_once(self):
+        ideal = path_ideal(line(5), 3)
+        expected = {(0, 3): 3, (1, 4): 2}
+        assert betti_table_hochster(ideal, QQ).entries == expected
+        assert betti_tables_hochster(ideal, (QQ, QQ))[QQ].entries == expected
+        tables = betti_tables_hochster(ideal, (gf(2), QQ, gf(2), QQ))
+        assert list(tables) == [gf(2), QQ]
+        assert all(t.entries == expected for t in tables.values())
+
     def test_bound(self):
         with pytest.raises(BoundExceededError):
             betti_table_hochster(zero_ideal(range(1, 20)), QQ)
@@ -287,6 +296,17 @@ class TestHomologyCache:
                 assert assertion_stats[check] - before[check] >= entries[-1] > 0, check
         assert entries[0] == entries[1]
 
+    def test_sequentially_cm_runs_both_checks_per_entry(self):
+        # the benchmark's hygiene gate on the sequential-CM path
+        ideal = path_ideal(line(9), 3)
+        homology.clear_caches()
+        before = dict(assertion_stats)
+        for field in (QQ, gf(2)):
+            is_sequentially_cm(ideal, field)
+        entries = len(homology._homology_cache)
+        for check in ("boundary_squared", "euler"):
+            assert assertion_stats[check] - before[check] >= entries > 0, check
+
     def test_bounded_cache_keeps_answers(self, monkeypatch):
         cases = [path_ideal(line(7), 3), projective_plane_ideal(), four_cycle_edge_ideal()]
         fields = (QQ, gf(2), gf(3))
@@ -319,6 +339,34 @@ class TestHomologyCache:
         assert max(sizes) <= bound
         assert len(sizes) > 2 * bound  # the bound was reached more than once
         homology.clear_caches()
+
+
+def _rp2_family():
+    """The projective plane, its cone and its suspension, as facet lists:
+    complexes whose Q elimination need not be certified."""
+    rp2 = [set(f) for f in projective_plane_complex().facets]
+    apex, south = 7, 8
+    return (
+        rp2,
+        [f | {apex} for f in rp2],
+        [f | {v} for f in rp2 for v in (apex, south)],
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(1, 7), max_size=5), min_size=1, max_size=8))
+@example(_rp2_family()[0])
+@example(_rp2_family()[1])
+@example(_rp2_family()[2])
+def test_chain_homology_matches_dense_oracle(facets):
+    masks = [sum(1 << v for v in f) for f in facets]
+    faces = homology._faces_from_facets(masks)
+    results = {p: homology._homology_from_faces(faces, p) for p in (None, 2, 3, 5)}
+    for p, (dims, _) in results.items():
+        assert dims == simple_homology(facets, p), p
+    q_dims, certified = results[None]
+    if certified:
+        assert all(dims == q_dims for dims, _ in results.values())
 
 
 class TestSequentiallyCM:

@@ -115,3 +115,42 @@ def test_two_identity_ranks_by_field():
 def test_empty():
     assert sparse_rank([]) == (0, True)
     assert sparse_rank([{}, {}], 3) == (0, False)
+
+
+def assert_pivot_rows_independent(matrix):
+    # the reported input rows are independent over the field, and a Q
+    # elimination's over every GF(p) too; they number the rank unless a
+    # Bareiss core was left
+    rows = sparse(matrix)
+    for p in FIELDS:
+        pivots = set()
+        rank, certified = sparse_rank(rows, p, pivots)
+        chosen = [matrix[i] for i in sorted(pivots)]
+        for q in FIELDS if p is None else (p,):
+            assert dense_rank(chosen, q) == len(pivots), (p, q)
+        if certified or p is not None:
+            assert len(pivots) == rank, p
+        assert len(pivots) <= rank
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(integer_matrices(), integer_matrices(MOSTLY_UNITS)))
+def test_pivot_rows_are_independent(matrix):
+    assert_pivot_rows_independent(matrix)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED))
+def test_pivot_rows_are_independent_on_fixed_cases(name):
+    matrix = FIXED[name]
+    assert_pivot_rows_independent(matrix)
+    assert_pivot_rows_independent(block_diag(matrix, identity(40)))
+
+
+def test_pivot_rows_leave_out_the_bareiss_core():
+    # no unit entry at all: the whole matrix is the core, and no row is reported
+    pivots = set()
+    assert sparse_rank(sparse(FIXED["bareiss_core"]), None, pivots) == (3, False)
+    assert pivots == set()
+    pivots = set()
+    assert sparse_rank(sparse(FIXED["bareiss_core"]), 5, pivots) == (3, False)
+    assert len(pivots) == 3

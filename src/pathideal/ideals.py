@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 Monomial = frozenset
@@ -21,9 +22,10 @@ def minimalize(monomials: Iterable[frozenset]) -> frozenset:
     the support of another one."""
     mons = sorted({frozenset(m) for m in monomials}, key=lambda m: (len(m), sorted(m)))
     kept: list[frozenset] = []
-    for m in mons:
-        if not any(k <= m for k in kept):
-            kept.append(m)
+    # distinct sets of one size never contain each other, so each size is
+    # compared only with the smaller sets kept before it
+    for _, group in groupby(mons, key=len):
+        kept.extend([m for m in group if not any(k <= m for k in kept)])
     return frozenset(kept)
 
 

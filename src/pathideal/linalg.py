@@ -1,10 +1,11 @@
 """Exact matrix rank over the rationals and over prime fields.
 
 Matrices arrive as sparse rows (dict column -> int).  One sparse
-elimination with min-degree pivoting serves every field and every matrix
-size.  Over GF(p) it reduces entries mod p and divides by the pivot.  Over
-the rationals it is fraction-free: it pivots on +-1 entries only (no
-division) and hands any leftover core without unit entries to a dense
+elimination in column order serves every field and every matrix size.
+Over GF(p) it reduces entries mod p and divides by the pivot.  Over the
+rationals it is fraction-free: it pivots on +-1 entries only (no
+division), gives the columns without one another pass while passes still
+find pivots, and hands any leftover core without unit entries to a dense
 Bareiss elimination.  No floating point is used anywhere.
 
 Certificate.  Over Q the elimination pivots only on +-1 entries and only
@@ -40,8 +41,6 @@ of d_k over every field.
 """
 from __future__ import annotations
 
-import heapq
-
 
 def bareiss_rank(matrix: list[list[int]]) -> int:
     """Fraction-free Gaussian elimination on integer entries."""
@@ -75,12 +74,14 @@ def sparse_rank(
     """(rank, certified) of a sparse integer matrix over GF(p), or over Q
     when p is None.
 
-    Pivots are chosen by a lazy min-degree queue over the columns (fewest
-    nonzeros first, shortest row within the column).  Over Q a column with
-    no +-1 entry is deferred and retried after later pivots; whatever is
-    left goes to ``bareiss_rank``.  ``certified`` is true only over Q with
-    no such leftover core, and then the rank is the same over every GF(p)
-    (see the module docstring).  The input rows are copied, not changed.
+    The columns are eliminated in ascending index order, each on its
+    shortest usable row: any nonzero entry over GF(p), a +-1 entry over Q.
+    Over Q a column with no +-1 entry is deferred, and the deferred columns
+    get another pass for as long as the previous pass found a pivot;
+    whatever is left goes to ``bareiss_rank``.  ``certified`` is true only
+    over Q with no such leftover core, and then the rank is the same over
+    every GF(p) (see the module docstring).  The input rows are copied, not
+    changed.
 
     When ``pivot_rows`` is given, the index of every row that becomes a
     pivot of the sparse elimination is added to it.  Those rows of the
@@ -99,107 +100,47 @@ def sparse_rank(
         for c in row:
             col_rows.setdefault(c, set()).add(i)
 
-    buckets: dict[int, list[int]] = {}
-    for c, rset in col_rows.items():
-        buckets.setdefault(len(rset), []).append(c)
-    heap = sorted(buckets)
-    heapq.heapify(heap)
-    queued = set(heap)
-
-    def requeue(c: int) -> None:
-        deg = len(col_rows[c])
-        if deg:
-            buckets.setdefault(deg, []).append(c)
-            if deg not in queued:
-                queued.add(deg)
-                heapq.heappush(heap, deg)
-
-    deferred: list[int] = []  # Q-mode columns currently without a unit entry
-    progressed = True
     rank = 0
-    while True:
-        pivot = None
-        while heap:
-            deg = heap[0]
-            bucket = buckets.get(deg)
-            if not bucket:
-                heapq.heappop(heap)
-                queued.discard(deg)
+    pending = sorted(col_rows)
+    while pending:
+        pass_start = rank
+        deferred: list[int] = []  # Q-mode columns without a unit entry
+        for c in pending:
+            rset = col_rows[c]
+            usable = [i for i in rset if rows[i][c] in (1, -1)] if rationals else rset
+            if not usable:
+                if rset:
+                    deferred.append(c)
                 continue
-            c = bucket.pop()
-            rset = col_rows.get(c)
-            if not rset:
-                continue
-            if len(rset) != deg:
-                requeue(c)
-                continue
-            best_row = None
-            best_len = None
-            for i in rset:
-                if rationals and rows[i][c] not in (1, -1):
+            r = min(usable, key=lambda i: len(rows[i]))
+            rank += 1
+            if pivot_rows is not None:
+                pivot_rows.add(r)
+            pivot_row = rows[r]
+            inv = pivot_row[c] if rationals else pow(pivot_row[c], -1, p)  # +-1 over Q
+            for i in list(rset):
+                if i == r:
                     continue
-                ln = len(rows[i])
-                if best_len is None or ln < best_len:
-                    best_row, best_len = i, ln
-            if best_row is None:
-                deferred.append(c)
-                continue
-            pivot = (best_row, c)
-            break
-        if pivot is None:
-            if rationals and deferred and progressed:
-                progressed = False
-                retry, deferred = deferred, []
-                for c in retry:
-                    if col_rows.get(c):
-                        requeue(c)
-                continue
-            break
-
-        progressed = True
-        r, c = pivot
-        rank += 1
-        if pivot_rows is not None:
-            pivot_rows.add(r)
-        pv = rows[r][c]
-        inv = pv if rationals else pow(pv, -1, p)  # pv is +-1 over Q
-        pivot_row = rows[r]
-        touched: set[int] = set()
-        for i in list(col_rows[c]):
-            if i == r:
-                continue
-            factor = rows[i][c] * inv
-            if not rationals:
-                factor %= p
-            target = rows[i]
-            for cc, v in pivot_row.items():
-                cur = target.get(cc, 0)
-                nv = cur - factor * v
+                target = rows[i]
+                factor = target[c] * inv
                 if not rationals:
-                    nv %= p
-                if nv:
-                    if cur == 0:
-                        col_rows.setdefault(cc, set()).add(i)
-                        touched.add(cc)
-                    target[cc] = nv
-                elif cur != 0:
-                    del target[cc]
-                    col_rows[cc].discard(i)
-                    touched.add(cc)
-        for cc in pivot_row:
-            rset = col_rows.get(cc)
-            if rset is not None:
-                rset.discard(r)
-                touched.add(cc)
-        rows[r] = {}
-        touched.discard(c)
-        col_rows.pop(c, None)
-        for cc in touched:
-            rset = col_rows.get(cc)
-            if rset:
-                requeue(cc)
-            else:
-                col_rows.pop(cc, None)
+                    factor %= p
+                for cc, v in pivot_row.items():
+                    cur = target.get(cc, 0)
+                    nv = cur - factor * v
+                    if not rationals:
+                        nv %= p
+                    if nv:
+                        if not cur:
+                            col_rows[cc].add(i)
+                        target[cc] = nv
+                    elif cur:
+                        del target[cc]
+                        col_rows[cc].discard(i)
+            for cc in pivot_row:
+                col_rows[cc].discard(r)
+            rows[r] = {}
+        pending = deferred if rank > pass_start else []
 
     if not rationals:
         return rank, False

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 from .ideals import SquarefreeIdeal, hypergraph_components
@@ -36,11 +37,13 @@ class Complex:
         for f in self.facets:
             if not f <= self.ambient:
                 raise ValueError(f"facet {sorted(f)} lies outside the ambient universe")
-        by_size = sorted(self.facets, key=len)
-        for i, small in enumerate(by_size):
-            for big in by_size[i + 1:]:
-                if small < big:
-                    raise ValueError("facets must form an antichain")
+        # facets of one size never contain each other
+        smaller: list[frozenset] = []
+        for _, group in groupby(sorted(self.facets, key=len), key=len):
+            group = list(group)
+            if any(small < big for big in group for small in smaller):
+                raise ValueError("facets must form an antichain")
+            smaller.extend(group)
 
     @property
     def is_void(self) -> bool:

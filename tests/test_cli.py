@@ -226,6 +226,13 @@ class TestExitCodes:
         assert main(["betti", line8_file, "-t", "3", "--field", "4"]) == 2
         assert "not prime" in capsys.readouterr().err
 
+    def test_large_prime_field(self, line8_file, capsys):
+        # 2**61 - 1 is prime; 2**64 + 13 is past the exact primality test
+        assert main(["betti", line8_file, "-t", "3", "--field", str(2**61 - 1)]) == 0
+        capsys.readouterr()
+        assert main(["betti", line8_file, "-t", "3", "--field", str(2**64 + 13)]) == 2
+        assert "2**64" in capsys.readouterr().err
+
     def test_recursion_error_is_internal_error(self, line8_file, monkeypatch, capsys):
         import pathideal.cli as cli
 

@@ -45,6 +45,21 @@ class TestField:
         with pytest.raises(ValueError):
             Field(4)
 
+    def test_primality_matches_trial_division(self):
+        for n in range(-2, 3000):
+            trial = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+            assert homology._is_prime(n) is trial, n
+
+    def test_large_primes(self):
+        assert Field(2**61 - 1).p == 2**61 - 1
+        # a Carmichael number, a multiple of 3 next to a Mersenne prime, and
+        # the small non-primes
+        for n in (561, 2**61 + 1, 0, 1, 4):
+            with pytest.raises(ValueError, match="not prime"):
+                Field(n)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            Field(2**64 + 13)
+
     def test_str(self):
         assert str(QQ) == "Q"
         assert str(gf(5)) == "GF(5)"

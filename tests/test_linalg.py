@@ -72,8 +72,11 @@ FIXED = {
     "no_unit_rank_one": [[2, 4], [1, 2]],
     "zero_rows": [[0, 0, 0], [0, 0, 0]],
     "zero_row_among_others": [[0, 0], [1, 2], [0, 0], [2, 4]],
-    # column 1 has no +-1 entry until column 0 is eliminated: deferred, then retried
+    # column 1 has no +-1 entry until column 0 is eliminated
     "deferred_retry": [[1, 2], [1, 3]],
+    # in column order, column 0 has no +-1 entry until column 1 is
+    # eliminated, so it is left to the second pass
+    "deferred_retry_column_order": [[2, 1], [3, 1]],
     # only non-unit entries: the whole matrix is a Bareiss core over Q
     "bareiss_core": [[2, 3, 0], [3, 2, 2], [0, 2, 3]],
 }
@@ -104,6 +107,7 @@ def test_unit_pivots_alone_are_certified():
     for m in (FIXED["no_unit_rank_one"], block_diag(FIXED["no_unit_rank_one"], identity(40))):
         assert sparse_rank(sparse(m)) == (len(m) - 1, True)
     assert sparse_rank(sparse(FIXED["deferred_retry"])) == (2, True)
+    assert sparse_rank(sparse(FIXED["deferred_retry_column_order"])) == (2, True)
     assert sparse_rank(sparse(identity(5)), 2) == (5, False)
 
 

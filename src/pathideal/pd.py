@@ -193,18 +193,15 @@ def _pieces(forest: Forest, t: int, memo: dict) -> list[tuple[RootedTree, int]]:
     return [(c, _shape_id(c, memo)) for c in forest.components if c.height() >= t - 1]
 
 
-def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, path: tuple | None = None) -> int:
+def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
     """pd(R/I_t) of a piece of a forest that passed pd_recursive's check,
-    by leaf splits in one loop over a stack of pieces; ``memo`` (one per t)
-    maps shape ids to pd.  A piece popped the first time is split once and
-    pushed back under the components of minus_leaf, then of minus_zone, so
-    splits, trace steps and memo hits come in the pre-order of a recursive
-    descent.  Popped again, its sub-pieces are all memoized and its value is
-    max(sum over minus_leaf, sum over minus_zone + off_path_count + 1).
-    ``path`` prescribes the first split generator (default:
-    leaf_generator); callers that prescribe it pass a fresh memo, so that a
-    memo hit cannot skip the prescribed split and its value is not reused
-    for other occurrences of the shape."""
+    by leaf splits at leaf_generator in one loop over a stack of pieces;
+    ``memo`` (one per t) maps shape ids to pd.  A piece popped the first
+    time is split once and pushed back under the components of minus_leaf,
+    then of minus_zone, so splits, trace steps and memo hits come in the
+    pre-order of a recursive descent.  Popped again, its sub-pieces are all
+    memoized and its value is
+    max(sum over minus_leaf, sum over minus_zone + off_path_count + 1)."""
     root_key = _shape_id(tree, memo)
     stack: list = [(tree, root_key, None)]
     while stack:
@@ -215,8 +212,7 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, path: tup
             leaf, zone, count = split
             memo[key] = max(sum(memo[k] for k in leaf), sum(memo[k] for k in zone) + count + 1)
             continue
-        sd = splitting_data(piece, t, path)
-        path = None
+        sd = splitting_data(piece, t)
         if trace is not None:
             trace.append(
                 RecursionStep(
@@ -308,12 +304,14 @@ def pd_auto(
     verify: bool = False,
     max_n: int | None = None,
 ) -> PdReport:
-    """Dispatch: closed form for line-graph path ideals, leaf-split
-    recursion for properly-connected complexes, Hochster tables otherwise.
-    With ``verify`` every applicable method runs and must agree."""
+    """Dispatch over the routes that apply, in METHODS order (the closed
+    form only for a line graph).  ``auto`` takes the first route that does
+    not raise NotProperlyConnectedError; an explicit ``method`` runs its
+    route first and lets its errors through.  With ``verify`` every
+    applicable route runs once and all must agree, and on a tree the
+    recursion is re-checked from every leaf-ending first split."""
     if method != "auto" and method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    comps = component_trees(g)
     ideal = path_ideal(g, t)
     if ideal.is_zero:
         return PdReport(value=0, method="zero" if method == "auto" else method, values={"zero": 0})
@@ -332,43 +330,42 @@ def pd_auto(
             return pd_recursive(g, t, trace=trace)
         return pd_quotient_hochster(ideal, field, max_n)
 
+    routes = [name for name in METHODS if line is not None or name != "closed-form"]
     if method != "auto":
-        values[method] = run(method)
-        chosen = method
-    else:
-        # hochster, last, returns or raises, so the loop always chooses
-        order = (["closed-form"] if line is not None else []) + ["recursion", "hochster"]
-        for chosen in order:
-            try:
-                values[chosen] = run(chosen)
-                break
-            except NotProperlyConnectedError as exc:
-                notes.append(f"recursion inapplicable: {exc}")
-    value = values[chosen]
+        routes = [method] + [name for name in routes if name != method]
+    # an explicit method's route and hochster (auto's last) return or raise,
+    # so ``values`` is never empty after the loop
+    for name in routes:
+        if values and not verify:
+            break
+        try:
+            values[name] = run(name)
+        except NotProperlyConnectedError as exc:
+            if name == method:
+                raise
+            notes.append(f"recursion inapplicable: {exc}")
+    chosen = next(iter(values))
 
     if verify:
-        if line is not None and "closed-form" not in values:
-            values["closed-form"] = run("closed-form")
-        if "recursion" not in values:
-            try:
-                values["recursion"] = run("recursion")
-            except NotProperlyConnectedError as exc:
-                notes.append(f"recursion inapplicable: {exc}")
-        if "hochster" not in values:
-            values["hochster"] = run("hochster")
         if len(set(values.values())) > 1:
             raise RuntimeError(f"projective-dimension methods disagree: {values}")
-        # sample alternative leaf-ending generators and re-run the recursion
+        # split at every leaf-ending generator first; the pieces share a memo
+        comps = component_trees(g)
         if "recursion" in values and len(comps) == 1:
             tree = comps[0]
-            alternatives = [
-                p for p in enumerate_paths(tree, t) if tree.degree(p[-1]) == 1
-            ]
-            for alt in alternatives:
-                alt_value = _pd_tree(tree, t, {}, None, alt)
+            memo: dict = {}
+            for alt in enumerate_paths(tree, t):
+                if tree.degree(alt[-1]) != 1:
+                    continue
+                sd = splitting_data(tree, t, alt)
+                leaf, zone = (
+                    sum(_pd_tree(piece, t, memo, None) for piece, _ in _pieces(forest, t, memo))
+                    for forest in (sd.minus_leaf, sd.minus_zone)
+                )
+                alt_value = max(leaf, zone + sd.off_path_count + 1)
                 if alt_value != values["recursion"]:
                     raise RuntimeError(
                         f"recursion value depends on the split choice: {alt} gives {alt_value}"
                     )
 
-    return PdReport(value=value, method=chosen, values=values, trace=trace, notes=notes)
+    return PdReport(value=values[chosen], method=chosen, values=values, trace=trace, notes=notes)

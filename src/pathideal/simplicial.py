@@ -57,9 +57,9 @@ def make_complex(faces: Iterable[Iterable[int]], ambient: Iterable[int] | None =
     """Build a complex from a face collection, keeping the maximal ones."""
     sets = sorted({frozenset(f) for f in faces}, key=len, reverse=True)
     facets: list[frozenset] = []
-    for f in sets:
-        if not any(f <= kept for kept in facets):
-            facets.append(f)
+    # distinct sets of one size never contain each other
+    for _, group in groupby(sets, key=len):
+        facets.extend([f for f in group if not any(f <= kept for kept in facets)])
     amb = frozenset().union(*facets) if ambient is None else frozenset(ambient)
     return Complex(amb, frozenset(facets))
 

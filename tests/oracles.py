@@ -11,8 +11,9 @@ component's edge list through ``RootedTree.from_edges``, rooted shapes
 from the recursive nested-tuple AHU encoding, sequential
 Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
-Reisner's definition), and the 0/1-point test of Schmitt-Vogel witnesses
-from a scan of all 2^n points.
+Reisner's definition), the 0/1-point test of Schmitt-Vogel witnesses
+from a scan of all 2^n points, and the facets of a face collection from a
+comparison of every pair of faces.
 """
 from __future__ import annotations
 
@@ -343,3 +344,10 @@ def radical_point_check_by_scan(partition, ideal) -> bool:
         if all_zero and any(g & point == g for g in gen_masks):
             return False
     return True
+
+
+def maximal_sets_by_scan(faces) -> frozenset:
+    """The inclusion-maximal sets among ``faces``, each compared with every
+    other one."""
+    sets = {frozenset(f) for f in faces}
+    return frozenset(f for f in sets if not any(f < g for g in sets))

@@ -102,6 +102,27 @@ class TestBettiPd:
         assert set(data["per_method"].values()) == {4}
         assert len(data["per_method"]) == 3
 
+    def test_pd_verify_lists_the_chosen_method_first(self, line8_file, capsys):
+        assert main(["pd", line8_file, "-t", "3", "--method", "hochster", "--verify"]) == 0
+        assert "per_method: {'hochster': 4, 'closed-form': 4, 'recursion': 4}" in capsys.readouterr().out
+
+    def test_pd_verify_catches_a_wrong_first_split(self, line8_file, monkeypatch, capsys):
+        import dataclasses
+
+        from pathideal import pd
+
+        real = pd.splitting_data
+
+        def one_more_off_path(tree, t, path=None):
+            sd = real(tree, t, path)
+            if path is None:
+                return sd
+            return dataclasses.replace(sd, off_path=sd.off_path | {max(tree.vertices) + 1})
+
+        monkeypatch.setattr(pd, "splitting_data", one_more_off_path)
+        assert main(["pd", line8_file, "-t", "3", "--verify"]) == 1
+        assert "depends on the split choice" in capsys.readouterr().err
+
     def test_pd_branching_tree(self, example_file, capsys):
         assert main(["pd", example_file, "-t", "3", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)

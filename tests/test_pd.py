@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 
@@ -330,6 +331,35 @@ class TestPdAuto:
     def test_verify_mode_line(self):
         report = pd_auto(line(8), 3, verify=True)
         assert report.values["closed-form"] == report.values["recursion"] == report.values["hochster"] == 4
+
+    def test_verify_runs_each_route_once(self, monkeypatch):
+        calls = []
+
+        def counting(cx):
+            calls.append(cx)
+            return is_properly_connected(cx)
+
+        monkeypatch.setattr(pd, "is_properly_connected", counting)
+        report = pd_auto(random_tree(0, 7), 3, verify=True)
+        assert report.method == "hochster"
+        assert len(report.notes) == 1 and report.notes[0].startswith("recursion inapplicable")
+        assert len(calls) == 1
+
+    def test_verify_catches_a_wrong_first_split(self, monkeypatch):
+        """A prescribed first split that counts one off-path vertex too many
+        gives another value, and verify must say so."""
+        real = pd.splitting_data
+
+        def one_more_off_path(tree, t, path=None):
+            sd = real(tree, t, path)
+            if path is None:
+                return sd
+            return dataclasses.replace(sd, off_path=sd.off_path | {max(tree.vertices) + 1})
+
+        monkeypatch.setattr(pd, "splitting_data", one_more_off_path)
+        assert pd_auto(line(8), 3).value == 4
+        with pytest.raises(RuntimeError, match="depends on the split choice"):
+            pd_auto(line(8), 3, verify=True)
 
     def test_line_order(self):
         assert line_order(path_ideal(line(7), 3)) == (3, list(range(1, 8)))

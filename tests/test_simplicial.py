@@ -20,6 +20,7 @@ from pathideal.corpus import line, triangle_boundary, twelve_vertex_tree
 
 from oracles import (
     leaf_order_by_search,
+    maximal_sets_by_scan,
     proper_distances_by_scan,
     properly_connected_by_scan,
     simplicial_forest_by_scan,
@@ -46,6 +47,12 @@ class TestFacetComplex:
             from pathideal.simplicial import Complex
 
             Complex(frozenset({1, 2, 3}), frozenset({frozenset({1}), frozenset({1, 2})}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(1, 8)), max_size=12))
+def test_make_complex_keeps_the_maximal_faces(faces):
+    assert make_complex(faces).facets == maximal_sets_by_scan(faces)
 
 
 class TestLeaves:

@@ -22,9 +22,17 @@ lemma in ``linalg``).
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
 order-independent.  One module-level cache serves all of them: it is keyed
 by the kind of mask collection (generating faces or minimal non-faces) and
-a canonical relabeling of the masks, and each entry is computed from its
-key alone, so concurrent or repeated use only changes speed, never
-results.  Every complex is first eliminated over Q.  When every rank of
+a relabelled copy of the masks, and each entry is computed from its key
+alone, so concurrent or repeated use only changes speed, never results.
+The two kinds are relabelled differently.  A Hochster island (minimal
+non-faces) is keyed by colour refinement (``_island_key``), so isomorphic
+islands under other labels share one entry; ``betti_tables_hochster``
+memoizes that key per call, because a sweep meets each island many times.
+Generating faces (a complex given by its facets, and the Reisner links)
+keep the cheaper key of ``_canonical_faces``, compacted bits and the
+mirror image: the sequential-CM sweep looks up thousands of small links,
+and refining each of them costs more than the chain complexes it would
+save.  Every complex is first eliminated over Q.  When every rank of
 that elimination is certified (see ``linalg``), the homology is the same
 over every field and one entry, keyed without the field, answers them
 all.  Otherwise the field p is part of the key and each field asked for
@@ -193,8 +201,8 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
     return {k: v for k, v in dims.items() if v}, certified
 
 
-# (kind, canonical masks) -> reduced homology dims over every field, or
-# (kind, canonical masks, p) -> dims over one field when the Q elimination
+# (kind, relabelled masks) -> reduced homology dims over every field, or
+# (kind, relabelled masks, p) -> dims over one field when the Q elimination
 # was not certified (p is None for Q itself)
 _homology_cache: dict = {}
 # entries the cache may hold; an insert that would pass it empties the
@@ -206,9 +214,12 @@ NON_FACES = "non-faces"  # the masks are the minimal non-faces over their union
 
 
 def _canonical_faces(faces) -> tuple:
-    """Canonical key for a mask collection: compact the used bits, and
-    identify a collection with its mirror image (homology is invariant
-    under vertex permutations, and reflections are common here)."""
+    """Key for a collection of generating faces (kind FACETS): compact the
+    used bits, and identify a collection with its mirror image (homology is
+    invariant under vertex permutations, and reflections are common here).
+    It depends on the labels, so isomorphic complexes may get two entries;
+    the Reisner links keep it because they are many and small, and
+    _island_key on each would cost more than the entries it saves."""
     union = 0
     for m in faces:
         union |= m
@@ -219,6 +230,62 @@ def _canonical_faces(faces) -> tuple:
         sum(1 << (width - 1 - b) for b in iter_bits(m)) for m in forward
     )
     return tuple(min(forward, mirrored))
+
+
+def _refine(colour: list[int], edges: list[list[int]], vertex_edges: list[list[int]]) -> list[int]:
+    """Colour refinement of a hypergraph until the number of colour classes
+    is stable.  An edge's colour is the sorted list of its vertices'
+    colours; a vertex's new colour is its old one with the sorted list of
+    its edges' colours, and the new colours are the ranks of those
+    signatures in sorted order, never anything read off a label."""
+    classes = len(set(colour))
+    while True:
+        edge_colour = [tuple(sorted(colour[i] for i in e)) for e in edges]
+        signature = [
+            (c, tuple(sorted(edge_colour[e] for e in es))) for c, es in zip(colour, vertex_edges)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(signature)))}
+        colour = [rank[sig] for sig in signature]
+        if len(rank) == classes:
+            return colour
+        classes = len(rank)
+
+
+def _island_key(masks) -> tuple:
+    """Key of a Hochster island: its masks relabelled by colour refinement
+    with individualization (McKay and Piperno 2014).  Vertex colours start
+    from the degree and are refined (see _refine); while a class holds two
+    or more vertices, the lowest vertex of the lowest such class gets a
+    colour of its own and refinement runs again.  The final colours are a
+    bijection onto 0..n-1, so the key is always a relabelled copy of the
+    island and has its homology whatever the labels were; only whether
+    isomorphic islands share a key depends on them, and on the islands of
+    path ideals they do.  At most n individualizations of at most n
+    refinement rounds each keep it polynomial, stars included."""
+    union = 0
+    for m in masks:
+        union |= m
+    pos = {b: i for i, b in enumerate(iter_bits(union))}
+    edges = [[pos[b] for b in iter_bits(m)] for m in masks]
+    vertex_edges: list[list[int]] = [[] for _ in pos]
+    for e, members in enumerate(edges):
+        for i in members:
+            vertex_edges[i].append(e)
+    colour = _refine([len(es) for es in vertex_edges], edges, vertex_edges)
+    while True:
+        first: dict[int, int] = {}
+        split = None
+        for i, c in enumerate(colour):
+            if c not in first:
+                first[c] = i
+            elif split is None or c < split[0]:
+                split = (c, first[c])
+        if split is None:
+            return tuple(sorted(sum(1 << colour[i] for i in e) for e in edges))
+        c, v = split
+        colour = _refine(
+            [2 * x + (x == c and i != v) for i, x in enumerate(colour)], edges, vertex_edges
+        )
 
 
 def _faces_from_facets(facet_masks) -> set[int]:
@@ -237,10 +304,12 @@ def _remember(key: tuple, dims: dict[int, int]) -> dict[int, int]:
 
 def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
     """Reduced homology over GF(p), or Q when p is None, of the complex
-    described by canonical masks (see _canonical_faces) of the given kind.
-    The faces are built from the key itself on a miss, so an entry depends
-    only on its key.  A miss eliminates over Q first; only when that is not
-    certified is the field p computed on its own."""
+    described by the masks of a key of the given kind: _island_key for
+    NON_FACES, _canonical_faces for FACETS.  Either is a relabelled copy of
+    the collection, so it has the same homology.  The faces are built from
+    the key itself on a miss, so an entry depends only on its key.  A miss
+    eliminates over Q first; only when that is not certified is the field p
+    computed on its own."""
     hit = _homology_cache.get((kind, canon))
     if hit is None:
         hit = _homology_cache.get((kind, canon, p))
@@ -410,8 +479,9 @@ def betti_tables_hochster(
 
     Subsets Y with a vertex not covered by any generator inside Y restrict
     to cones and are skipped.  The remaining restriction splits as a join
-    over the connected pieces of its generators, so homology is computed
-    per piece (with caching) and convolved.
+    over the connected pieces of its generators, the islands, so homology
+    is computed per island and convolved.  Islands are cached under
+    _island_key, which is computed once per distinct island of the call.
     """
     universe, gens = _generator_masks(
         ideal, DEFAULT_HOCHSTER_MAX_N if max_n is None else max_n, "Hochster bound"
@@ -421,6 +491,7 @@ def betti_tables_hochster(
     if ideal.is_zero:
         return tables
 
+    island_keys: dict[tuple, tuple] = {}  # sorted raw masks -> _island_key
     for Y in range(1 << len(universe)):
         gens_in = [g for g in gens if g & Y == g]
         covered = 0
@@ -428,7 +499,13 @@ def betti_tables_hochster(
             covered |= g
         if covered != Y:
             continue
-        keys = [_canonical_faces(members) for _, members in hypergraph_components(gens_in)]
+        keys = []
+        for _, members in hypergraph_components(gens_in):
+            raw = tuple(sorted(members))
+            key = island_keys.get(raw)
+            if key is None:
+                key = island_keys[raw] = _island_key(raw)
+            keys.append(key)
         for f in fields:
             dims = {-1: 1}
             for k in keys:

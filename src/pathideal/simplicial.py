@@ -37,13 +37,8 @@ class Complex:
         for f in self.facets:
             if not f <= self.ambient:
                 raise ValueError(f"facet {sorted(f)} lies outside the ambient universe")
-        # facets of one size never contain each other
-        smaller: list[frozenset] = []
-        for _, group in groupby(sorted(self.facets, key=len), key=len):
-            group = list(group)
-            if any(small < big for big in group for small in smaller):
-                raise ValueError("facets must form an antichain")
-            smaller.extend(group)
+        if len(_maximal_sets(self.facets)) != len(self.facets):
+            raise ValueError("facets must form an antichain")
 
     @property
     def is_void(self) -> bool:
@@ -53,13 +48,32 @@ class Complex:
         return sorted(self.facets, key=lambda f: (len(f), sorted(f)))
 
 
+def _maximal_sets(sets) -> list[frozenset]:
+    """The maximal ones among distinct frozensets.  Distinct sets of one
+    size never contain each other, so each set is compared only with the
+    larger sets kept so far, and only with those through its rarest vertex;
+    the empty set, coming last, lies in any of them."""
+    kept: list[frozenset] = []
+    through: dict = {}  # vertex -> the kept sets containing it
+    indexed = 0
+    for _, group in groupby(sorted(sets, key=len, reverse=True), key=len):
+        if not kept:
+            kept.extend(group)
+            continue
+        for g in kept[indexed:]:
+            for v in g:
+                through.setdefault(v, []).append(g)
+        indexed = len(kept)
+        kept.extend([
+            f for f in group
+            if f and not any(f <= g for g in min([through.get(v, ()) for v in f], key=len))
+        ])
+    return kept
+
+
 def make_complex(faces: Iterable[Iterable[int]], ambient: Iterable[int] | None = None) -> Complex:
     """Build a complex from a face collection, keeping the maximal ones."""
-    sets = sorted({frozenset(f) for f in faces}, key=len, reverse=True)
-    facets: list[frozenset] = []
-    # distinct sets of one size never contain each other
-    for _, group in groupby(sets, key=len):
-        facets.extend([f for f in group if not any(f <= kept for kept in facets)])
+    facets = _maximal_sets({frozenset(f) for f in faces})
     amb = frozenset().union(*facets) if ambient is None else frozenset(ambient)
     return Complex(amb, frozenset(facets))
 

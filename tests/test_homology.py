@@ -1,7 +1,9 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from pathideal import (
     BoundExceededError,
     QQ,
     BettiTable,
+    RootedTree,
     betti_table_hochster,
     betti_tables_hochster,
     char_independence_report,
@@ -32,6 +35,7 @@ from pathideal.corpus import (
     line,
     projective_plane_complex,
     projective_plane_ideal,
+    random_tree,
     twelve_vertex_tree,
 )
 from pathideal import homology
@@ -311,6 +315,20 @@ class TestHomologyCache:
                 assert assertion_stats[check] - before[check] >= entries[-1] > 0, check
         assert entries[0] == entries[1]
 
+    def test_relabelled_sweeps_leave_equal_entries_each_checked(self):
+        # the hygiene gate across labellings: isomorphic islands share one
+        # entry whatever the labels, and every entry still ran both checks
+        tree = random_tree(12005, 12)
+        entries = []
+        for seed in (0, 1):
+            homology.clear_caches()
+            before = dict(assertion_stats)
+            betti_tables_hochster(path_ideal(_relabelled(tree, random.Random(seed)), 3), max_n=13)
+            entries.append(len(homology._homology_cache))
+            for check in ("boundary_squared", "euler"):
+                assert assertion_stats[check] - before[check] >= entries[-1] > 0, check
+        assert entries[0] == entries[1]
+
     def test_sequentially_cm_runs_both_checks_per_entry(self):
         # the benchmark's hygiene gate on the sequential-CM path
         ideal = path_ideal(line(9), 3)
@@ -354,6 +372,93 @@ class TestHomologyCache:
         assert max(sizes) <= bound
         assert len(sizes) > 2 * bound  # the bound was reached more than once
         homology.clear_caches()
+
+
+def _relabelled(tree, rng):
+    """A copy of the tree under a random bijection onto other ids."""
+    ids = rng.sample(range(1, 10 * tree.n + 1), tree.n)
+    label = dict(zip(tree.vertices, ids))
+    return RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
+
+
+def _permuted(masks, perm):
+    """The masks with bit b moved to bit perm[b]."""
+    return [sum(1 << perm[b] for b in range(len(perm)) if m >> b & 1) for m in masks]
+
+
+def _path_masks(seed, n, t):
+    return [sum(1 << (v - 1) for v in g) for g in path_ideal(random_tree(seed, n), t).gens]
+
+
+def _mask_sets(masks):
+    return [{b for b in range(64) if m >> b & 1} for m in masks]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 10), st.sampled_from((2, 3)), st.randoms(use_true_random=False))
+def test_relabelling_a_tree_keeps_tables_and_cache_entries(seed, n, t, rng):
+    tree = random_tree(seed, n)
+    results = []
+    for g in (tree, _relabelled(tree, rng)):
+        homology.clear_caches()
+        tables = betti_tables_hochster(path_ideal(g, t))
+        results.append(([tables[f].entries for f in homology.DEFAULT_FIELDS], len(homology._homology_cache)))
+    assert results[0] == results[1]
+
+
+class TestIslandKey:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 10**6), st.integers(2, 12), st.sampled_from((2, 3, 4)),
+           st.randoms(use_true_random=False))
+    def test_bit_permutations_of_path_hypergraphs_share_the_key(self, seed, n, t, rng):
+        masks = _path_masks(seed, n, t)
+        perm = rng.sample(range(20), n)
+        assert homology._island_key(_permuted(masks, perm)) == homology._island_key(masks)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8, unique=True))
+    def test_key_is_a_relabelling(self, sets):
+        self._assert_relabelling([sum(1 << v for v in f) for f in sets])
+
+    def test_projective_plane_key_is_a_relabelling(self):
+        rp2 = [sum(1 << v for v in f) for f in projective_plane_complex().facets]
+        self._assert_relabelling(rp2)
+        non_faces = [sum(1 << v for v in g) for g in projective_plane_ideal().gens]
+        self._assert_relabelling(non_faces)
+
+    @staticmethod
+    def _assert_relabelling(masks):
+        key = homology._island_key(masks)
+        assert Counter(m.bit_count() for m in key) == Counter(m.bit_count() for m in masks)
+        union = 0
+        for m in key:
+            union |= m
+        assert union == (1 << len(set().union(*_mask_sets(masks)))) - 1
+        for p in (None, 2):
+            assert simple_homology(_mask_sets(key), p) == simple_homology(_mask_sets(masks), p), p
+
+    @pytest.mark.parametrize("masks", [
+        [1 << 0 | 1 << leaf for leaf in range(1, 13)],  # t=2 edge ideal of a 12-leaf star
+        [sum(1 << v for v in c) for c in combinations(range(7), 3)],
+    ], ids=["star", "3-subsets"])
+    def test_symmetric_inputs_refine_a_bounded_number_of_times(self, masks, monkeypatch):
+        refine = homology._refine
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return refine(*args)
+
+        monkeypatch.setattr(homology, "_refine", counted)
+        n = len(set().union(*_mask_sets(masks)))
+        rng = random.Random(0)
+        keys = set()
+        for _ in range(20):
+            calls.clear()
+            keys.add(homology._island_key(_permuted(masks, rng.sample(range(24), n))))
+            # one refinement, then one after each individualization
+            assert len(calls) <= n
+        assert len(keys) == 1
 
 
 def _rp2_family():

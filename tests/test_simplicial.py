@@ -47,6 +47,8 @@ class TestFacetComplex:
             from pathideal.simplicial import Complex
 
             Complex(frozenset({1, 2, 3}), frozenset({frozenset({1}), frozenset({1, 2})}))
+        with pytest.raises(ValueError):
+            Complex(frozenset({1}), frozenset({frozenset(), frozenset({1})}))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -11,13 +11,30 @@ Conventions (they matter for the degenerate corners of Hochster's sum):
   Stanley-Reisner complex to Y), and the table of the quotient R/I is the
   ideal table shifted by one in homological degree with beta_{0,0} = 1.
 
-Every homology computation checks that consecutive boundary maps compose
-to zero and that the Euler characteristic matches the alternating face
-count minus one, raising CheckFailedError otherwise (also under
-``python -O``).  All arithmetic is exact.  The boundary maps are ranked
-from the top dimension down, and each d_k only on the k-faces that were
-not pivot rows of d_{k+1}, which leaves every rank as it is (the clearing
-lemma in ``linalg``).
+Homology is computed modulo a vertex star.  Pick a vertex v of a complex
+D; its closed star st v (the faces s with s | v a face) is a subcomplex
+and a cone with apex v.  Cone lemma: the augmented chain complex of a
+cone is exact over Z, because h(s) = +-(s | v) on faces without v (signed
+so that s has coefficient 1 in the boundary of s | v) and h = 0 on faces
+with v satisfy dh + hd = id.  It stays exact over every field, so the
+long exact sequence of 0 -> C~(st v) -> C~(D) -> C~(D) / C~(st v) -> 0
+gives H~_k(D; F) = H_k(C~(D) / C~(st v); F) for every field F, torsion
+included.  The quotient has the faces outside st v as its basis (the
+empty face always lies in the star), and its boundary is that of D with
+the entries on rows in st v dropped.  ``_homology_from_faces`` drops the
+star before it builds any column, and v is a vertex in the most faces,
+so the star it drops is the largest.
+
+Every homology computation checks, on the quotient it ranks, that
+consecutive boundary maps compose to zero and that the Euler
+characteristic matches the alternating face count, raising
+CheckFailedError otherwise (also under ``python -O``).  All arithmetic is
+exact.  The boundary maps are ranked from the top dimension down, and
+each d_k only on the k-faces that were not pivot rows of d_{k+1}, which
+leaves every rank as it is (the clearing lemma in ``linalg``; it needs
+only d o d = 0, which the quotient keeps).  The quotient's matrices are
+submatrices of +-1 boundary matrices, so the certificate of ``linalg``
+holds for them too.
 
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
 order-independent.  One module-level cache serves all of them: it is keyed
@@ -134,18 +151,37 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
     face bitmasks (closed under subsets; 0 is the empty face), over Q when
     p is None.  Keys run from -1 to the dimension; zero entries are
     omitted.  The flag is true when every rank is certified, so the
-    dimensions hold over every field."""
-    if not faces:
-        return {}, True
+    dimensions hold over every field.
+
+    The faces of the closed star st v = {s : s | v is a face} of the vertex
+    v in the most faces are dropped before any column is built; the empty
+    face always goes with them.  The kept faces span the relative complex
+    C~(D) / C~(st v), whose boundary is that of D with the entries on rows
+    in st v dropped.  Cone lemma: st v is a cone with apex v, and
+    h(s) = (-1)^j (s | v), with j the number of bits of s below v, on
+    faces s without v (h = 0 on faces with v) satisfies dh + hd = id on
+    its augmented chain complex over Z, which is therefore exact over every
+    field.  The long exact sequence of 0 -> C~(st v) -> C~(D) -> quotient
+    -> 0 then gives H~_k(D; F) = H_k(quotient; F) for every field F,
+    torsion included.  The quotient's matrices are submatrices of the +-1
+    boundary matrices, so the certificate of ``linalg`` applies as it is,
+    and clearing needs only d o d = 0, which the quotient keeps.  The
+    d o d = 0 and Euler checks run on the quotient, the complex that is
+    ranked, and each counts once per call, a cone (empty quotient)
+    included."""
+    n = max(faces, default=0).bit_length()
+    if n:
+        v = max(range(n), key=lambda b: len([m for m in faces if m >> b & 1]))
+        faces = [m for m in faces if (m | 1 << v) not in faces]
     by_dim: dict[int, list[int]] = {}
     for m in faces:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    top = max(by_dim)
-    for k in by_dim:
-        by_dim[k].sort()
-    index = {k: {m: i for i, m in enumerate(by_dim[k])} for k in by_dim}
+    top = max(by_dim, default=-1)
+    by_dim = {k: sorted(by_dim.get(k, ())) for k in range(-1, top + 1)}
+    index = {k: {m: i for i, m in enumerate(ms)} for k, ms in by_dim.items()}
 
-    # column lists: for each k-face, its boundary as (row in dim k-1, sign)
+    # column lists: for each k-face, its boundary as (row in dim k-1, sign),
+    # without the rows that lie in the star
     cols: dict[int, list[list[tuple[int, int]]]] = {}
     for k in range(0, top + 1):
         prev = index[k - 1]
@@ -154,7 +190,9 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
             entries = []
             sign = 1
             for b in iter_bits(m):
-                entries.append((prev[m ^ (1 << b)], sign))
+                row = prev.get(m ^ (1 << b))
+                if row is not None:
+                    entries.append((row, sign))
                 sign = -sign
             col_list.append(entries)
         cols[k] = col_list
@@ -167,11 +205,12 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
                     acc[row_i] = acc.get(row_i, 0) + s * s2
             if any(acc.values()):
                 raise CheckFailedError("boundary composed with boundary is nonzero")
-        assertion_stats["boundary_squared"] += 1
+    assertion_stats["boundary_squared"] += 1
 
     # top down: the k-faces that were pivot rows of d_{k+1} are cleared
-    # from the columns of d_k, which leaves its rank as it is (see linalg)
-    ranks = {k: 0 for k in range(top + 2)}
+    # from the columns of d_k, which leaves its rank as it is (see linalg);
+    # a map without entries has rank 0 and is not handed to sparse_rank
+    ranks = {k: 0 for k in range(-1, top + 2)}
     certified = True
     cleared: set[int] = set()
     for k in range(top, -1, -1):
@@ -182,23 +221,22 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
             for i, s in col:
                 rows[i][j] = s
         cleared = set()
-        ranks[k], rank_certified = sparse_rank(rows, p, cleared)
-        certified = certified and rank_certified
+        if any(rows):
+            ranks[k], rank_certified = sparse_rank(rows, p, cleared)
+            certified = certified and rank_certified
 
-    counts = {k: len(by_dim.get(k, ())) for k in range(-1, top + 1)}
-    dims = {-1: counts[-1] - ranks[0]}
-    for k in range(0, top + 1):
-        dims[k] = counts[k] - ranks[k] - ranks[k + 1]
+    counts = {k: len(ms) for k, ms in by_dim.items()}
+    dims = {k: counts[k] - ranks[k] - ranks[k + 1] for k in counts}
 
     # dims come from the same counts and ranks, whose terms cancel in the
     # alternating sum, so this cannot fail; it stays as a counted guard
     # against a future change to how dims are derived
-    euler_h = sum(_sign(k) * v for k, v in dims.items())
-    euler_f = sum(_sign(k) * counts[k] for k in range(0, top + 1)) - 1
+    euler_h = sum(_sign(k) * d for k, d in dims.items())
+    euler_f = sum(_sign(k) * c for k, c in counts.items())
     if euler_h != euler_f:
         raise CheckFailedError("Euler characteristic mismatch")
     assertion_stats["euler"] += 1
-    return {k: v for k, v in dims.items() if v}, certified
+    return {k: d for k, d in dims.items() if d}, certified
 
 
 # (kind, relabelled masks) -> reduced homology dims over every field, or

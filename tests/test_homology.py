@@ -489,6 +489,69 @@ def test_chain_homology_matches_dense_oracle(facets):
         assert all(dims == q_dims for dims, _ in results.values())
 
 
+def _faces(facets):
+    return homology._faces_from_facets([sum(1 << v for v in f) for f in facets])
+
+
+HOLLOW_TETRAHEDRON = [set(f) for f in combinations(range(4), 3)]
+# the 2-sphere on three pairs of opposite vertices {0, 1}, {2, 3}, {4, 5}
+OCTAHEDRON = [{a, b, c} for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+
+
+class TestStarQuotient:
+    """Homology modulo the star of one vertex: values, certificate,
+    hygiene counts and the rows that reach the rank step."""
+
+    @pytest.mark.parametrize(
+        "facets, expected",
+        [
+            ([{0, 1, 2, 3}], {}),  # a simplex
+            ([set()], {-1: 1}),  # the complex {empty face}
+            ([{0}], {}),
+            ([{0}, {1}], {0: 1}),
+            (HOLLOW_TETRAHEDRON, {2: 1}),  # its quotient is one 2-face
+        ],
+    )
+    def test_values_over_every_field(self, facets, expected):
+        faces = _faces(facets)
+        for p in (None, 2, 3, 5):
+            assert homology._homology_from_faces(faces, p)[0] == expected, p
+        assert homology._homology_from_faces(faces)[1]
+
+    @pytest.mark.parametrize(
+        "facets",
+        [
+            [{0, 1, 2, 3}],  # a cone: nothing is ranked
+            [{0, 1, 2}, {0, 2, 3}, {0, 1, 3}],  # a cone over a hollow triangle
+            OCTAHEDRON,  # a quotient in three dimensions
+        ],
+    )
+    def test_each_check_counts_once_per_complex(self, facets):
+        faces = _faces(facets)
+        before = dict(assertion_stats)
+        homology._homology_from_faces(faces)
+        for check in ("boundary_squared", "euler"):
+            assert assertion_stats[check] - before[check] == 1, check
+
+    def test_rank_sees_no_row_from_the_star(self, monkeypatch):
+        seen = []
+        rank = homology.sparse_rank
+
+        def watched(rows, p=None, pivot_rows=None):
+            seen.append(len(rows))
+            return rank(rows, p, pivot_rows)
+
+        monkeypatch.setattr(homology, "sparse_rank", watched)
+        # every vertex star of the hollow tetrahedron holds all of its faces
+        # but the opposite 2-face, which has no boundary left to rank
+        assert homology._homology_from_faces(_faces(HOLLOW_TETRAHEDRON)) == ({2: 1}, True)
+        assert seen == []
+        # every vertex star of the octahedron leaves the opposite vertex with
+        # its 4 edges and 4 triangles: d_2 gets 4 rows and d_1 one
+        assert homology._homology_from_faces(_faces(OCTAHEDRON)) == ({2: 1}, True)
+        assert seen == [4, 1]
+
+
 class TestSequentiallyCM:
     def test_path_ideals(self):
         for t in (2, 3):
@@ -605,7 +668,8 @@ class TestChecksSurviveOptimize:
                 print("partition check raised")
 
             # edges on bit 0 list their bits backwards: the triangle's
-            # boundary composed with boundary is then nonzero
+            # boundary composed with boundary is then nonzero.  The star
+            # vertex lies in the tetrahedron, so the triangle is ranked
             plain = homology.iter_bits
 
             def skewed(mask):
@@ -614,7 +678,7 @@ class TestChecksSurviveOptimize:
 
             homology.iter_bits = skewed
             try:
-                reduced_homology_dims(make_complex([{1, 2, 3}]))
+                reduced_homology_dims(make_complex([{1, 2, 3}, {4, 5, 6, 7}]))
             except CheckFailedError:
                 print("boundary check raised")
             """

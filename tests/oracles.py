@@ -12,8 +12,9 @@ from the recursive nested-tuple AHU encoding, sequential
 Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
 Reisner's definition), the 0/1-point test of Schmitt-Vogel witnesses
-from a scan of all 2^n points, and the facets of a face collection from a
-comparison of every pair of faces.
+from a scan of all 2^n points, the facets of a face collection from a
+comparison of every pair of faces, and the key of a collection of
+generating faces from its definition, vertex by vertex.
 """
 from __future__ import annotations
 
@@ -351,3 +352,17 @@ def maximal_sets_by_scan(faces) -> frozenset:
     other one."""
     sets = {frozenset(f) for f in faces}
     return frozenset(f for f in sets if not any(f < g for g in sets))
+
+
+def canonical_faces_by_spec(masks) -> tuple:
+    """The key of a collection of generating faces, from its definition:
+    number the vertices used by any mask 0..w-1 in increasing order, read
+    each mask as the set of its vertices' numbers, once as they are and
+    once mirrored (i -> w-1-i), and take the smaller of the two sorted
+    tuples of masks."""
+    vertex_sets = [{b for b in range(m.bit_length()) if m >> b & 1} for m in masks]
+    used = sorted(set().union(*vertex_sets))
+    w = len(used)
+    forward = tuple(sorted(sum(2 ** used.index(b) for b in s) for s in vertex_sets))
+    mirrored = tuple(sorted(sum(2 ** (w - 1 - used.index(b)) for b in s) for s in vertex_sets))
+    return min(forward, mirrored)

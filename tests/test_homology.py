@@ -41,7 +41,12 @@ from pathideal.corpus import (
 from pathideal import homology
 from pathideal.homology import Field, assertion_stats
 
-from oracles import sequentially_cm_by_all_skeleta, simple_homology, taylor_betti
+from oracles import (
+    canonical_faces_by_spec,
+    sequentially_cm_by_all_skeleta,
+    simple_homology,
+    taylor_betti,
+)
 
 
 class TestField:
@@ -273,6 +278,13 @@ def test_cohen_macaulay_matches_reisner_oracle(facets):
         assert is_cohen_macaulay(cx, field) == _reisner_oracle(cx.facets, p)
 
 
+def _relabelled(tree, rng):
+    """A copy of the tree under a random bijection onto other ids."""
+    ids = rng.sample(range(1, 10 * tree.n + 1), tree.n)
+    label = dict(zip(tree.vertices, ids))
+    return RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
+
+
 class TestHomologyCache:
     def test_facets_and_non_faces_keep_separate_entries(self):
         # as facets, 011 and 110 span a path; as minimal non-faces over
@@ -340,6 +352,29 @@ class TestHomologyCache:
         for check in ("boundary_squared", "euler"):
             assert assertion_stats[check] - before[check] >= entries > 0, check
 
+    @pytest.mark.parametrize("tree", [line(9), _relabelled(random_tree(12005, 12), random.Random(0))],
+                             ids=["L9", "R12s12005-relabelled"])
+    def test_gf2_after_q_adds_no_link_entry(self, tree, monkeypatch):
+        # every link complex of a path ideal is certified over Q, so the GF(2)
+        # pass finds each of its keys; its link tops come in shuffled order,
+        # so a key that depended on the order of the masks would miss
+        ideal = path_ideal(tree, 2)
+        homology.clear_caches()
+        assert is_sequentially_cm(ideal, QQ)
+        q_entries = len(homology._homology_cache)
+        assert q_entries > 0
+        key = homology._canonical_faces
+        rng = random.Random(1)
+
+        def shuffled(faces):
+            faces = list(faces)
+            rng.shuffle(faces)
+            return key(faces)
+
+        monkeypatch.setattr(homology, "_canonical_faces", shuffled)
+        assert is_sequentially_cm(ideal, gf(2))
+        assert len(homology._homology_cache) == q_entries
+
     def test_bounded_cache_keeps_answers(self, monkeypatch):
         cases = [path_ideal(line(7), 3), projective_plane_ideal(), four_cycle_edge_ideal()]
         fields = (QQ, gf(2), gf(3))
@@ -372,13 +407,6 @@ class TestHomologyCache:
         assert max(sizes) <= bound
         assert len(sizes) > 2 * bound  # the bound was reached more than once
         homology.clear_caches()
-
-
-def _relabelled(tree, rng):
-    """A copy of the tree under a random bijection onto other ids."""
-    ids = rng.sample(range(1, 10 * tree.n + 1), tree.n)
-    label = dict(zip(tree.vertices, ids))
-    return RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
 
 
 def _permuted(masks, perm):
@@ -461,6 +489,41 @@ class TestIslandKey:
         assert len(keys) == 1
 
 
+def _masks(sets):
+    return [sum(1 << v for v in f) for f in sets]
+
+
+class TestCanonicalFaces:
+    """The FACETS key against its definition, and its invariances."""
+
+    vertex_sets = st.lists(st.frozensets(st.integers(0, 100), max_size=6), max_size=8)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(vertex_sets, st.randoms(use_true_random=False))
+    @example([], random.Random(0))
+    @example([frozenset()], random.Random(0))  # the mask 0 alone
+    @example([frozenset({3, 5, 9})], random.Random(0))
+    @example([frozenset({0, 64, 70}), frozenset({63, 64}), frozenset({99})], random.Random(0))
+    def test_matches_the_definition_in_any_order(self, sets, rng):
+        masks = _masks(sets)
+        key = homology._canonical_faces(masks)
+        assert key == canonical_faces_by_spec(masks)
+        rng.shuffle(masks)
+        assert homology._canonical_faces(masks) == key
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(vertex_sets, st.randoms(use_true_random=False))
+    @example([frozenset({0, 1}), frozenset({1, 2, 4})], random.Random(0))
+    def test_invariant_under_monotone_relabelling_and_reversal(self, sets, rng):
+        key = homology._canonical_faces(_masks(sets))
+        used = sorted(set().union(*sets))
+        # increasing ids with gaps, some above bit 63
+        ids = dict(zip(used, sorted(rng.sample(range(200), len(used)))))
+        assert homology._canonical_faces(_masks([{ids[v] for v in f} for f in sets])) == key
+        # the vertex order reversed
+        assert homology._canonical_faces(_masks([{150 - v for v in f} for f in sets])) == key
+
+
 def _rp2_family():
     """The projective plane, its cone and its suspension, as facet lists:
     complexes whose Q elimination need not be certified."""
@@ -532,6 +595,29 @@ class TestStarQuotient:
         homology._homology_from_faces(faces)
         for check in ("boundary_squared", "euler"):
             assert assertion_stats[check] - before[check] == 1, check
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.frozensets(st.integers(0, 9), max_size=5), min_size=1, max_size=8))
+    @example([{2, 3}, {5, 7}])
+    def test_star_vertex_is_the_lowest_in_the_most_faces(self, facets):
+        faces = _faces(facets)
+        n = max(faces).bit_length()
+        if n:
+            counts = [sum(1 for m in faces if m >> b & 1) for b in range(n)]
+            assert homology._star_vertex(faces, n) == counts.index(max(counts))
+
+    def test_tied_star_vertex_goes_to_bit_0(self, monkeypatch):
+        # two disjoint edges: every vertex lies in two faces
+        chosen = []
+        pick = homology._star_vertex
+
+        def watched(faces, n):
+            chosen.append(pick(faces, n))
+            return chosen[-1]
+
+        monkeypatch.setattr(homology, "_star_vertex", watched)
+        assert homology._homology_from_faces(_faces([{0, 1}, {2, 3}])) == ({0: 1}, True)
+        assert chosen == [0]
 
     def test_rank_sees_no_row_from_the_star(self, monkeypatch):
         seen = []

@@ -19,11 +19,17 @@ so that s has coefficient 1 in the boundary of s | v) and h = 0 on faces
 with v satisfy dh + hd = id.  It stays exact over every field, so the
 long exact sequence of 0 -> C~(st v) -> C~(D) -> C~(D) / C~(st v) -> 0
 gives H~_k(D; F) = H_k(C~(D) / C~(st v); F) for every field F, torsion
-included.  The quotient has the faces outside st v as its basis (the
-empty face always lies in the star), and its boundary is that of D with
-the entries on rows in st v dropped.  ``_homology_from_faces`` drops the
-star before it builds any column, and v is a vertex in the most faces,
-so the star it drops is the largest.
+included.  The quotient has the faces outside st v as its basis, and its
+boundary is that of D with the entries on rows in st v dropped.  Only
+those faces are built: ``_quotient_faces`` picks v from the masks that
+describe D and generates the faces outside its star directly, never the
+whole complex, and ``_homology_from_faces`` ranks the relative complex it
+is given.  For a complex given by its minimal non-faces (a Hochster
+island) v is the vertex in the fewest of them; for one given by
+generating faces (a Reisner link) v maximises the sum of 2^|G| over the
+generating faces G through it, which on a pure complex is the vertex in
+the most top faces.  Ties go to the lowest vertex.  If v is no vertex of
+D (a non-face of size one) the star is empty and D is kept whole.
 
 Every homology computation checks, on the quotient it ranks, that
 consecutive boundary maps compose to zero and that the Euler
@@ -150,18 +156,6 @@ def _sign(k: int) -> int:
     return -1 if k & 1 else 1
 
 
-def _star_vertex(faces, n: int) -> int:
-    """The vertex among bits 0..n-1 in the most faces, the lowest on ties:
-    per-vertex counts gathered in one pass over each face's set bits."""
-    counts = [0] * n
-    for m in faces:
-        while m:
-            low = m & -m
-            counts[low.bit_length() - 1] += 1
-            m ^= low
-    return max(range(n), key=counts.__getitem__)
-
-
 def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], bool]:
     """Reduced homology dimensions of a complex given as the set of its
     face bitmasks (closed under subsets; 0 is the empty face), over Q when
@@ -169,26 +163,17 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
     omitted.  The flag is true when every rank is certified, so the
     dimensions hold over every field.
 
-    The faces of the closed star st v = {s : s | v is a face} of the vertex
-    v in the most faces are dropped before any column is built; the empty
-    face always goes with them.  The kept faces span the relative complex
-    C~(D) / C~(st v), whose boundary is that of D with the entries on rows
-    in st v dropped.  Cone lemma: st v is a cone with apex v, and
-    h(s) = (-1)^j (s | v), with j the number of bits of s below v, on
-    faces s without v (h = 0 on faces with v) satisfies dh + hd = id on
-    its augmented chain complex over Z, which is therefore exact over every
-    field.  The long exact sequence of 0 -> C~(st v) -> C~(D) -> quotient
-    -> 0 then gives H~_k(D; F) = H_k(quotient; F) for every field F,
-    torsion included.  The quotient's matrices are submatrices of the +-1
-    boundary matrices, so the certificate of ``linalg`` applies as it is,
-    and clearing needs only d o d = 0, which the quotient keeps.  The
-    d o d = 0 and Euler checks run on the quotient, the complex that is
-    ranked, and each counts once per call, a cone (empty quotient)
-    included."""
-    n = max(faces, default=0).bit_length()
-    if n:
-        v = _star_vertex(faces, n)
-        faces = [m for m in faces if (m | 1 << v) not in faces]
+    The set may be D - A for a complex D and a subcomplex A of it (A empty
+    gives D itself): it is then the basis of the relative complex
+    C~(D) / C~(A), whose boundary is that of D with the entries on rows in
+    A dropped, and its homology is what is returned.  ``_cached_homology``
+    hands it D minus the closed star of a vertex (``_quotient_faces``),
+    which has the homology of D (the cone lemma in the module docstring).
+    The relative matrices are submatrices of the +-1 boundary matrices, so
+    the certificate of ``linalg`` applies as it is, and clearing needs only
+    d o d = 0, which the relative complex keeps.  The d o d = 0 and Euler
+    checks run on the set given, the complex that is ranked, and each
+    counts once per call, an empty set included."""
     by_dim: dict[int, list[int]] = {}
     for m in faces:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
@@ -197,7 +182,7 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
     index = {k: {m: i for i, m in enumerate(ms)} for k, ms in by_dim.items()}
 
     # column lists: for each k-face, its boundary as (row in dim k-1, sign),
-    # without the rows that lie in the star
+    # without the rows that are not in the set
     cols: dict[int, list[list[tuple[int, int]]]] = {}
     for k in range(0, top + 1):
         prev = index[k - 1]
@@ -362,11 +347,55 @@ def _island_key(masks) -> tuple:
         )
 
 
-def _faces_from_facets(facet_masks) -> set[int]:
+def _quotient_faces(kind: str, masks) -> set[int]:
+    """The faces outside the closed star of one vertex v of the complex
+    the masks describe (kind FACETS or NON_FACES), built without the
+    complex itself.  They span C~(D) / C~(st v), which has the reduced
+    homology of D (the cone lemma in the module docstring).
+
+    * NON_FACES: v is the vertex in the fewest masks, the lowest on ties.
+      A face s stays when v is not in s and s | v is a non-face, that is
+      when s contains g - v for a mask g through v; so the kept faces are
+      the faces over the other vertices that contain some g - v.  (A g - v
+      that contains another mask is no face, and gives none.)  In a path
+      ideal's island v lies in a single generator, as the deepest vertex
+      does, so this is one enumeration.
+    * FACETS: v maximises the sum of 2^|G| over the masks G through it,
+      the lowest on ties; on a pure complex that is the vertex in the most
+      top faces.  The kept faces are those of the masks without v that lie
+      in no G - v with G a mask through v.
+
+    With no vertex at all the complex is {{}} or void, and is kept whole."""
+    union = 0
+    for m in masks:
+        union |= m
+    if not union:
+        return set(masks) if kind == FACETS else _enumerate_faces(0, masks)
+    # v has the highest score, minus the number of masks through it for
+    # NON_FACES and the sum of 2^|G| over them for FACETS; ties go low
+    best = None
+    rest = union
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        score = 0
+        for m in masks:
+            if m & low:
+                score += 1 << m.bit_count() if kind == FACETS else -1
+        if best is None or score > best:
+            best, v = score, low
     faces: set[int] = set()
-    for f in facet_masks:
-        faces.update(submasks(f))
-    return faces
+    if kind == NON_FACES:
+        for r in {g ^ v for g in masks if g & v}:
+            faces |= _enumerate_faces(union ^ v, masks, r)
+        return faces
+    link: set[int] = set()
+    for f in masks:
+        if f & v:
+            link.update(submasks(f ^ v))
+        else:
+            faces.update(submasks(f))
+    return faces - link
 
 
 def _remember(key: tuple, dims: dict[int, int]) -> dict[int, int]:
@@ -380,22 +409,17 @@ def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
     """Reduced homology over GF(p), or Q when p is None, of the complex
     described by the masks of a key of the given kind: _island_key for
     NON_FACES, _canonical_faces for FACETS.  Either is a relabelled copy of
-    the collection, so it has the same homology.  The faces are built from
-    the key itself on a miss, so an entry depends only on its key.  A miss
-    eliminates over Q first; only when that is not certified is the field p
-    computed on its own."""
+    the collection, so it has the same homology.  On a miss the faces
+    outside one vertex star (``_quotient_faces``) are built from the key
+    itself, so an entry depends only on its key.  A miss eliminates over Q
+    first; only when that is not certified is the field p computed on its
+    own."""
     hit = _homology_cache.get((kind, canon))
     if hit is None:
         hit = _homology_cache.get((kind, canon, p))
     if hit is not None:
         return hit
-    if kind == FACETS:
-        faces = _faces_from_facets(canon)
-    else:
-        union = 0
-        for m in canon:
-            union |= m
-        faces = _enumerate_faces(union, canon)
+    faces = _quotient_faces(kind, canon)
     if (kind, canon, None) not in _homology_cache:
         dims, certified = _homology_from_faces(faces)
         if certified:
@@ -422,23 +446,28 @@ def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:
     return dict(_cached_homology(FACETS, _canonical_faces(_facet_masks(cx)), field.p))
 
 
-def _enumerate_faces(universe_mask: int, gen_masks) -> set[int]:
-    """Subsets of the universe containing no generator support."""
-    if any(g == 0 for g in gen_masks):
-        return set()
-    verts = list(iter_bits(universe_mask))
+def _enumerate_faces(universe_mask: int, gen_masks, start: int = 0) -> set[int]:
+    """Subsets of the universe that contain ``start`` (itself a subset of
+    the universe) and no generator support; none when ``start`` contains
+    one.  A candidate is checked only against the generators through the
+    vertex just added: the face it extends contains no generator, so no
+    other generator can lie in it."""
     gens = list(gen_masks)
+    if any(g & start == g for g in gens):
+        return set()
+    verts = list(iter_bits(universe_mask & ~start))
+    through = [[g for g in gens if g >> b & 1] for b in verts]
     faces: set[int] = set()
 
-    def extend(mask: int, start: int) -> None:
+    def extend(mask: int, first: int) -> None:
         faces.add(mask)
-        for i in range(start, len(verts)):
-            cand = mask | (1 << verts[i])
-            if any(g & cand == g for g in gens):
+        for i in range(first, len(verts)):
+            cand = mask | 1 << verts[i]
+            if any(g & cand == g for g in through[i]):
                 continue
             extend(cand, i + 1)
 
-    extend(0, 0)
+    extend(start, 0)
     return faces
 
 

@@ -13,8 +13,10 @@ Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
 Reisner's definition), the 0/1-point test of Schmitt-Vogel witnesses
 from a scan of all 2^n points, the facets of a face collection from a
-comparison of every pair of faces, and the key of a collection of
-generating faces from its definition, vertex by vertex.
+comparison of every pair of faces, the key of a collection of
+generating faces from its definition, vertex by vertex, and the faces of
+a complex given by its facets or its minimal non-faces from a scan of
+every subset.
 """
 from __future__ import annotations
 
@@ -366,3 +368,25 @@ def canonical_faces_by_spec(masks) -> tuple:
     forward = tuple(sorted(sum(2 ** used.index(b) for b in s) for s in vertex_sets))
     mirrored = tuple(sorted(sum(2 ** (w - 1 - used.index(b)) for b in s) for s in vertex_sets))
     return min(forward, mirrored)
+
+
+def faces_from_facets(masks) -> set[int]:
+    """Every face of the complex generated by the masks: each subset, as a
+    bitmask, of the masks' union that lies inside one of them."""
+    union = 0
+    for m in masks:
+        union |= m
+    return {s for s in range(union + 1) if any(s | m == m for m in masks)}
+
+
+def faces_from_non_faces(masks) -> set[int]:
+    """Every face of the complex on the masks' union whose minimal
+    non-faces are the masks: each subset of the union that contains none
+    of them."""
+    union = 0
+    for m in masks:
+        union |= m
+    return {
+        s for s in range(union + 1)
+        if s | union == union and not any(s & m == m for m in masks)
+    }

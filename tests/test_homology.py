@@ -39,10 +39,12 @@ from pathideal.corpus import (
     twelve_vertex_tree,
 )
 from pathideal import homology
-from pathideal.homology import Field, assertion_stats
+from pathideal.homology import FACETS, NON_FACES, Field, assertion_stats
 
 from oracles import (
     canonical_faces_by_spec,
+    faces_from_facets,
+    faces_from_non_faces,
     sequentially_cm_by_all_skeleta,
     simple_homology,
     taylor_betti,
@@ -542,8 +544,7 @@ def _rp2_family():
 @example(_rp2_family()[1])
 @example(_rp2_family()[2])
 def test_chain_homology_matches_dense_oracle(facets):
-    masks = [sum(1 << v for v in f) for f in facets]
-    faces = homology._faces_from_facets(masks)
+    faces = faces_from_facets(_masks(facets))
     results = {p: homology._homology_from_faces(faces, p) for p in (None, 2, 3, 5)}
     for p, (dims, _) in results.items():
         assert dims == simple_homology(facets, p), p
@@ -552,8 +553,57 @@ def test_chain_homology_matches_dense_oracle(facets):
         assert all(dims == q_dims for dims, _ in results.values())
 
 
-def _faces(facets):
-    return homology._faces_from_facets([sum(1 << v for v in f) for f in facets])
+def _quotient(facets):
+    return homology._quotient_faces(FACETS, _masks(facets))
+
+
+def _vertex_lists(faces):
+    return [[b for b in range(f.bit_length()) if f >> b & 1] for f in faces]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([FACETS, NON_FACES]), st.lists(st.integers(0, 127), max_size=7))
+@example(FACETS, [])
+@example(FACETS, [0])
+@example(NON_FACES, [])
+@example(NON_FACES, [0, 3])  # a zero mask: the void complex
+@example(NON_FACES, [0b011, 0b111, 0b1100])  # not an antichain
+@example(NON_FACES, [0b0110, 0b0011, 0b0111, 0b1100])
+@example(FACETS, [0b0111, 0b0011, 0b11000])
+@example(FACETS, _masks(_rp2_family()[0]))  # the projective plane, and cones over it
+@example(FACETS, _masks(_rp2_family()[1]))
+@example(FACETS, _masks(_rp2_family()[2]))
+@example(NON_FACES, _masks(projective_plane_ideal().gens))
+def test_quotient_homology_matches_the_full_complex(kind, masks):
+    full = faces_from_facets(masks) if kind == FACETS else faces_from_non_faces(masks)
+    kept = homology._quotient_faces(kind, masks)
+    assert kept <= full
+    for p in (None, 2, 3, 5):
+        assert homology._homology_from_faces(kept, p)[0] == simple_homology(_vertex_lists(full), p), p
+
+
+@pytest.mark.parametrize("kind", [FACETS, NON_FACES])
+def test_projective_plane_quotient_keeps_its_torsion(kind):
+    rp2 = _masks([{v - 1 for v in f} for f in projective_plane_complex().facets])
+    non_faces = _masks([{v - 1 for v in g} for g in projective_plane_ideal().gens])
+    kept = homology._quotient_faces(kind, rp2 if kind == FACETS else non_faces)
+    assert homology._homology_from_faces(kept, 2) == ({1: 1, 2: 1}, False)
+    assert homology._homology_from_faces(kept) == ({}, False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 255), st.lists(st.integers(0, 255), max_size=6), st.integers(0, 255))
+@example(0b111, [0, 0b11], 0)
+@example(0b1111, [0b11, 0b110], 0b11)  # start is no face
+def test_enumerate_faces_is_a_filter_of_the_supersets(universe, gens, start):
+    start &= universe
+    expected = {
+        s for s in range(universe + 1)
+        if s | universe == universe and s & start == start and not any(g & s == g for g in gens)
+    }
+    assert homology._enumerate_faces(universe, gens, start) == expected
+    if not start:
+        assert homology._enumerate_faces(universe, gens) == expected
 
 
 HOLLOW_TETRAHEDRON = [set(f) for f in combinations(range(4), 3)]
@@ -563,7 +613,8 @@ OCTAHEDRON = [{a, b, c} for a in (0, 1) for b in (2, 3) for c in (4, 5)]
 
 class TestStarQuotient:
     """Homology modulo the star of one vertex: values, certificate,
-    hygiene counts and the rows that reach the rank step."""
+    hygiene counts, the choice of the vertex and the rows that reach the
+    rank step."""
 
     @pytest.mark.parametrize(
         "facets, expected",
@@ -576,7 +627,7 @@ class TestStarQuotient:
         ],
     )
     def test_values_over_every_field(self, facets, expected):
-        faces = _faces(facets)
+        faces = _quotient(facets)
         for p in (None, 2, 3, 5):
             assert homology._homology_from_faces(faces, p)[0] == expected, p
         assert homology._homology_from_faces(faces)[1]
@@ -590,7 +641,7 @@ class TestStarQuotient:
         ],
     )
     def test_each_check_counts_once_per_complex(self, facets):
-        faces = _faces(facets)
+        faces = _quotient(facets)
         before = dict(assertion_stats)
         homology._homology_from_faces(faces)
         for check in ("boundary_squared", "euler"):
@@ -599,25 +650,34 @@ class TestStarQuotient:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.frozensets(st.integers(0, 9), max_size=5), min_size=1, max_size=8))
     @example([{2, 3}, {5, 7}])
-    def test_star_vertex_is_the_lowest_in_the_most_faces(self, facets):
-        faces = _faces(facets)
-        n = max(faces).bit_length()
-        if n:
-            counts = [sum(1 for m in faces if m >> b & 1) for b in range(n)]
-            assert homology._star_vertex(faces, n) == counts.index(max(counts))
+    @example([{0, 1, 2}, {3, 4, 5, 6}])
+    def test_star_vertex_follows_the_weight_rules(self, sets):
+        used = sorted(set().union(*sets))
+        if not used:
+            return
+        masks = _masks(sets)
+        # generating faces: the largest sum of 2^|G| over the masks G
+        # through the vertex; minimal non-faces: the fewest masks
+        v = max(used, key=lambda b: sum(2 ** len(s) for s in sets if b in s))
+        w = min(used, key=lambda b: sum(1 for s in sets if b in s))
+        for kind, faces, apex in (
+            (FACETS, faces_from_facets(masks), v),
+            (NON_FACES, faces_from_non_faces(masks), w),
+        ):
+            outside = {s for s in faces if (s | 1 << apex) not in faces}
+            assert homology._quotient_faces(kind, masks) == outside, kind
 
-    def test_tied_star_vertex_goes_to_bit_0(self, monkeypatch):
-        # two disjoint edges: every vertex lies in two faces
-        chosen = []
-        pick = homology._star_vertex
-
-        def watched(faces, n):
-            chosen.append(pick(faces, n))
-            return chosen[-1]
-
-        monkeypatch.setattr(homology, "_star_vertex", watched)
-        assert homology._homology_from_faces(_faces([{0, 1}, {2, 3}])) == ({0: 1}, True)
-        assert chosen == [0]
+    def test_tied_star_vertex_goes_to_bit_0(self):
+        # two disjoint edges: every vertex has the same weight, and the star
+        # of bit 0 leaves the other edge without its empty face
+        kept = _quotient([{0, 1}, {2, 3}])
+        assert kept == {4, 8, 12}
+        assert homology._homology_from_faces(kept) == ({0: 1}, True)
+        # the path 0-1-2-3 as minimal non-faces: bits 0 and 3 lie in one
+        # mask each, and the star of bit 0 leaves {1} and {1, 3}
+        kept = homology._quotient_faces(NON_FACES, _masks([{0, 1}, {1, 2}, {2, 3}]))
+        assert kept == {0b0010, 0b1010}
+        assert homology._homology_from_faces(kept) == ({}, True)
 
     def test_rank_sees_no_row_from_the_star(self, monkeypatch):
         seen = []
@@ -630,11 +690,11 @@ class TestStarQuotient:
         monkeypatch.setattr(homology, "sparse_rank", watched)
         # every vertex star of the hollow tetrahedron holds all of its faces
         # but the opposite 2-face, which has no boundary left to rank
-        assert homology._homology_from_faces(_faces(HOLLOW_TETRAHEDRON)) == ({2: 1}, True)
+        assert homology._homology_from_faces(_quotient(HOLLOW_TETRAHEDRON)) == ({2: 1}, True)
         assert seen == []
         # every vertex star of the octahedron leaves the opposite vertex with
         # its 4 edges and 4 triangles: d_2 gets 4 rows and d_1 one
-        assert homology._homology_from_faces(_faces(OCTAHEDRON)) == ({2: 1}, True)
+        assert homology._homology_from_faces(_quotient(OCTAHEDRON)) == ({2: 1}, True)
         assert seen == [4, 1]
 
 
@@ -755,7 +815,8 @@ class TestChecksSurviveOptimize:
 
             # edges on bit 0 list their bits backwards: the triangle's
             # boundary composed with boundary is then nonzero.  The star
-            # vertex lies in the tetrahedron, so the triangle is ranked
+            # vertex has the largest sum of 2^|facet| over its facets, so
+            # it lies in the tetrahedron and the triangle is ranked
             plain = homology.iter_bits
 
             def skewed(mask):

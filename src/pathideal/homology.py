@@ -48,22 +48,15 @@ holds for them too.
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
 order-independent.  One module-level cache serves all of them: it is keyed
 by the kind of mask collection (generating faces or minimal non-faces) and
-a relabelled copy of the masks, and each entry is computed from its key
+``_canonical_faces`` of the masks, and each entry is computed from its key
 alone, so concurrent or repeated use only changes speed, never results.
-The two kinds are relabelled differently.  A Hochster island (minimal
-non-faces) is keyed by colour refinement (``_island_key``), so isomorphic
-islands under other labels share one entry.  ``betti_tables_hochster``
-refines the compacted copy ``_canonical_faces`` of each island, so the
-translates of one island along a tree are refined once: the refined key
-is memoized by that compacted copy across calls (``_island_keys``, a
-relabelling memo and no homology cache, emptied by ``clear_caches``),
-and per call by the raw masks, because a sweep meets each island many
-times and compacting it at every meeting would cost what the memo saves.
-Generating faces (a complex given by its facets, and the Reisner links)
-keep the cheaper key of ``_canonical_faces``, compacted bits and the
-mirror image: the sequential-CM sweep looks up thousands of small links,
-and refining each of them costs more than the chain complexes it would
-save.  That key is built in one pass over the set bits; the 3,420 link
+Both kinds take the same key, compacted bits and the mirror image: a
+relabelled copy of the masks, so it has their homology.  It identifies
+the translates and reflections of a collection, and isomorphic copies
+under other labels may get entries of their own.  That is cheap: a miss
+builds only the faces outside one vertex star, and a label-free key
+(colour refinement of each Hochster island, once used here) cost more on
+the benchmark's betti-fields workload than the entries it saved.  The key is built in one pass over the set bits; the 3,420 link
 keys of one round of the benchmark's scm-skeleta workload (the median
 link has 10 generating faces on 7 vertices) take 0.029 s, about 8.5 us
 each, against 0.137 s for a bit-by-bit build (Python 3.11, 2-CPU host).
@@ -73,8 +66,8 @@ over every field and one entry, keyed without the field, answers them
 all.  Otherwise the field p is part of the key and each field asked for
 is computed on its own; a complex with torsion always takes this path,
 since certified ranks leave no room for a field-dependent answer.  The
-cache, and the island-key memo, each hold at most HOMOLOGY_CACHE_MAX
-entries: an insert that would pass the bound empties the dict first.
+cache holds at most HOMOLOGY_CACHE_MAX entries: an insert that would pass
+the bound empties it first.
 
 The sequentially-CM test checks Duval's skeleton criterion with Reisner's
 test, but only where theory does not already settle the answer: on the
@@ -83,7 +76,7 @@ proof is in ``is_sequentially_cm``).  ``is_cohen_macaulay`` tests every
 face.  The sweep runs once per ideal when it can: its verdict is memoized
 by the ambient size and ``_canonical_faces`` of the generators
 (``_scm_verdicts``, a verdict memo and no homology cache, bounded and
-emptied like the others), without the field when every link homology the
+emptied like the cache), without the field when every link homology the
 sweep consulted was certified.  Those ranks hold over every GF(p), cones
 and connectivity hold over every field, and the sweep's path depends on
 nothing else, so one verdict answers every field.  Otherwise the field is
@@ -259,14 +252,11 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
 # (kind, relabelled masks, p) -> dims over one field when the Q elimination
 # was not certified (p is None for Q itself)
 _homology_cache: dict = {}
-# _canonical_faces of a Hochster island -> its _island_key.  A relabelling,
-# not a homology computation: the name keeps it out of the benchmark's
-# count of *_cache dicts, whose every entry must have run the checks
-_island_keys: dict = {}
 # (ambient size, _canonical_faces of the generators) -> sequential-CM
 # verdict over every field, or (..., p) -> the verdict over one field when
 # a link homology of its sweep was not certified.  A verdict, not a homology
-# computation, so it too is named outside the *_cache dicts
+# computation: the name keeps it out of the benchmark's count of *_cache
+# dicts, whose every entry must have run the checks
 _scm_verdicts: dict = {}
 # entries each dict may hold; an insert that would pass it empties the
 # dict first, which costs only recomputation since entries are pure
@@ -277,12 +267,12 @@ NON_FACES = "non-faces"  # the masks are the minimal non-faces over their union
 
 
 def _canonical_faces(faces) -> tuple:
-    """Key for a collection of generating faces (kind FACETS): compact the
-    used bits, and identify a collection with its mirror image (homology is
-    invariant under vertex permutations, and reflections are common here).
-    It depends on the labels, so isomorphic complexes may get two entries;
-    the Reisner links keep it because they are many and small, and
-    _island_key on each would cost more than the entries it saves.
+    """Key for a collection of masks of either kind, generating faces or
+    minimal non-faces: compact the used bits, and identify a collection
+    with its mirror image (homology is invariant under vertex permutations,
+    and reflections are common here).  The key is itself a relabelled copy
+    of the collection.  It still depends on the order of the labels, so
+    isomorphic complexes may get two entries.
 
     One pass over the set bits: the union's bits, lowest first, are paired
     with their compacted bit 1 << i and their mirrored bit 1 << (w-1-i),
@@ -313,62 +303,6 @@ def _canonical_faces(faces) -> tuple:
     forward.sort()
     mirrored.sort()
     return tuple(min(forward, mirrored))
-
-
-def _refine(colour: list[int], edges: list[list[int]], vertex_edges: list[list[int]]) -> list[int]:
-    """Colour refinement of a hypergraph until the number of colour classes
-    is stable.  An edge's colour is the sorted list of its vertices'
-    colours; a vertex's new colour is its old one with the sorted list of
-    its edges' colours, and the new colours are the ranks of those
-    signatures in sorted order, never anything read off a label."""
-    classes = len(set(colour))
-    while True:
-        edge_colour = [tuple(sorted(colour[i] for i in e)) for e in edges]
-        signature = [
-            (c, tuple(sorted(edge_colour[e] for e in es))) for c, es in zip(colour, vertex_edges)
-        ]
-        rank = {sig: r for r, sig in enumerate(sorted(set(signature)))}
-        colour = [rank[sig] for sig in signature]
-        if len(rank) == classes:
-            return colour
-        classes = len(rank)
-
-
-def _island_key(masks) -> tuple:
-    """Key of a Hochster island: its masks relabelled by colour refinement
-    with individualization (McKay and Piperno 2014).  Vertex colours start
-    from the degree and are refined (see _refine); while a class holds two
-    or more vertices, the lowest vertex of the lowest such class gets a
-    colour of its own and refinement runs again.  The final colours are a
-    bijection onto 0..n-1, so the key is always a relabelled copy of the
-    island and has its homology whatever the labels were; only whether
-    isomorphic islands share a key depends on them, and on the islands of
-    path ideals they do.  At most n individualizations of at most n
-    refinement rounds each keep it polynomial, stars included."""
-    union = 0
-    for m in masks:
-        union |= m
-    pos = {b: i for i, b in enumerate(iter_bits(union))}
-    edges = [[pos[b] for b in iter_bits(m)] for m in masks]
-    vertex_edges: list[list[int]] = [[] for _ in pos]
-    for e, members in enumerate(edges):
-        for i in members:
-            vertex_edges[i].append(e)
-    colour = _refine([len(es) for es in vertex_edges], edges, vertex_edges)
-    while True:
-        first: dict[int, int] = {}
-        split = None
-        for i, c in enumerate(colour):
-            if c not in first:
-                first[c] = i
-            elif split is None or c < split[0]:
-                split = (c, first[c])
-        if split is None:
-            return tuple(sorted(sum(1 << colour[i] for i in e) for e in edges))
-        c, v = split
-        colour = _refine(
-            [2 * x + (x == c and i != v) for i, x in enumerate(colour)], edges, vertex_edges
-        )
 
 
 def _quotient_faces(kind: str, masks) -> set[int]:
@@ -433,13 +367,12 @@ def _remember(store: dict, key: tuple, value):
 
 def _cached_homology(kind: str, canon: tuple, p: int | None) -> dict[int, int]:
     """Reduced homology over GF(p), or Q when p is None, of the complex
-    described by the masks of a key of the given kind: _island_key for
-    NON_FACES, _canonical_faces for FACETS.  Either is a relabelled copy of
-    the collection, so it has the same homology.  On a miss the faces
-    outside one vertex star (``_quotient_faces``) are built from the key
-    itself, so an entry depends only on its key.  A miss eliminates over Q
-    first; only when that is not certified is the field p computed on its
-    own."""
+    described by the masks of a key of the given kind, _canonical_faces of
+    the collection: a relabelled copy of it, so it has the same homology.
+    On a miss the faces outside one vertex star (``_quotient_faces``) are
+    built from the key itself, so an entry depends only on its key.  A miss
+    eliminates over Q first; only when that is not certified is the field p
+    computed on its own."""
     hit = _homology_cache.get((kind, canon))
     if hit is None:
         hit = _homology_cache.get((kind, canon, p))
@@ -629,8 +562,8 @@ def betti_tables_hochster(
     vertex that no generator inside Y covers, so its restriction is a cone
     and adds nothing.  The restriction to Y splits as a join over the
     connected pieces of its generators, the islands, so homology is
-    computed per island and convolved.  An island is keyed by _island_key
-    of its _canonical_faces, memoized as the module docstring says.
+    computed per island and convolved.  An island is keyed by
+    _canonical_faces of its generators, as a Reisner link is.
     """
     _, gens = _generator_masks(
         ideal, DEFAULT_HOCHSTER_MAX_N if max_n is None else max_n, "Hochster bound"
@@ -644,19 +577,11 @@ def betti_tables_hochster(
             tables[f].entries[(0, 0)] = 1
         return tables
 
-    island_keys: dict[tuple, tuple] = {}  # sorted raw masks -> island key
     for Y in sorted(_generator_unions(gens)):
-        keys = []
-        for _, members in hypergraph_components([g for g in gens if g & Y == g]):
-            raw = tuple(sorted(members))
-            key = island_keys.get(raw)
-            if key is None:
-                canon = _canonical_faces(raw)
-                key = _island_keys.get(canon)
-                if key is None:
-                    key = _remember(_island_keys, canon, _island_key(canon))
-                island_keys[raw] = key
-            keys.append(key)
+        keys = [
+            _canonical_faces(members)
+            for _, members in hypergraph_components([g for g in gens if g & Y == g])
+        ]
         for f in fields:
             dims = {-1: 1}
             for k in keys:
@@ -808,5 +733,4 @@ def is_sequentially_cm(
 
 def clear_caches() -> None:
     _homology_cache.clear()
-    _island_keys.clear()
     _scm_verdicts.clear()

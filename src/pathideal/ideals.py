@@ -149,11 +149,14 @@ def ideal_to_json(a: SquarefreeIdeal) -> str:
 
 
 def ideal_from_json(text: str) -> SquarefreeIdeal:
+    """Inverse of ideal_to_json.  The generators must be the minimal ones:
+    a list in which one support contains another is refused, because the
+    ideal it names has fewer generators than the list."""
     data = json.loads(text)
-    return SquarefreeIdeal(
-        frozenset(data["ambient"]),
-        frozenset(frozenset(g) for g in data["gens"]),
-    )
+    gens = frozenset(frozenset(g) for g in data["gens"])
+    if minimalize(gens) != gens:
+        raise ValueError("generators are not minimal: one support contains another")
+    return SquarefreeIdeal(frozenset(data["ambient"]), gens)
 
 
 def to_macaulay2(a: SquarefreeIdeal) -> str:

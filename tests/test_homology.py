@@ -311,8 +311,20 @@ def test_cohen_macaulay_matches_reisner_oracle(facets):
 def _relabelled(tree, rng):
     """A copy of the tree under a random bijection onto other ids."""
     ids = rng.sample(range(1, 10 * tree.n + 1), tree.n)
-    label = dict(zip(tree.vertices, ids))
-    return RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
+    return _mapped(tree, dict(zip(tree.vertices, ids)).get)
+
+
+def _mapped(tree, label):
+    """A copy of the tree with each vertex v renamed label(v)."""
+    return RootedTree.from_edges(((label(u), label(v)) for u, v in tree.edges()), root=label(tree.root))
+
+
+def _order_keeping(tree, rng):
+    """Relabellings to which _canonical_faces is invariant: increasing ids
+    with gaps, and the vertex order reversed."""
+    ids = dict(zip(sorted(tree.vertices), sorted(rng.sample(range(1, 10 * tree.n + 1), tree.n))))
+    top = max(tree.vertices)
+    return [_mapped(tree, ids.get), _mapped(tree, lambda v: top + 1 - v)]
 
 
 class TestHomologyCache:
@@ -358,18 +370,22 @@ class TestHomologyCache:
         assert entries[0] == entries[1]
 
     def test_relabelled_sweeps_leave_equal_entries_each_checked(self):
-        # the hygiene gate across labellings: isomorphic islands share one
-        # entry whatever the labels, and every entry still ran both checks
+        # the hygiene gate across labellings: every entry ran both checks and
+        # every labelling gives the same tables; the keys see the labels only
+        # through their order up to reversal, so the labellings that keep or
+        # reverse it leave the same entries
         tree = random_tree(12005, 12)
-        entries = []
-        for seed in (0, 1):
+        rng = random.Random(0)
+        results = []
+        for g in [tree, *_order_keeping(tree, rng), _relabelled(tree, rng), _relabelled(tree, rng)]:
             homology.clear_caches()
             before = dict(assertion_stats)
-            betti_tables_hochster(path_ideal(_relabelled(tree, random.Random(seed)), 3), max_n=13)
-            entries.append(len(homology._homology_cache))
+            tables = betti_tables_hochster(path_ideal(g, 3), max_n=13)
+            results.append(([tables[f].entries for f in homology.DEFAULT_FIELDS], len(homology._homology_cache)))
             for check in ("boundary_squared", "euler"):
-                assert assertion_stats[check] - before[check] >= entries[-1] > 0, check
-        assert entries[0] == entries[1]
+                assert assertion_stats[check] - before[check] >= results[-1][1] > 0, check
+        assert all(row[0] == results[0][0] for row in results)
+        assert results[0][1] == results[1][1] == results[2][1]
 
     def test_sequentially_cm_runs_both_checks_per_entry(self):
         # the benchmark's hygiene gate on the sequential-CM path
@@ -412,8 +428,8 @@ class TestHomologyCache:
     def test_hygiene_gate_after_a_betti_sweep(self):
         # the benchmark's gate: every entry of a module dict named *_cache
         # counts as one homology computation, and both checks must have run
-        # for each; the island-key memo (a relabelling) and the verdict memo
-        # of the sequential-CM pair are kept out of it
+        # for each; the verdict memo of the sequential-CM pair is kept out
+        # of it
         homology.clear_caches()
         before = dict(assertion_stats)
         betti_tables_hochster(path_ideal(random_tree(12005, 12), 3), max_n=13)
@@ -422,18 +438,28 @@ class TestHomologyCache:
         caches = [v for name, v in vars(homology).items() if name.endswith("_cache") and isinstance(v, dict)]
         computations = sum(len(v) for v in caches)
         assert computations > 0
-        for memo in (homology._island_keys, homology._scm_verdicts):
-            assert memo and all(v is not memo for v in caches)
+        assert homology._scm_verdicts and all(v is not homology._scm_verdicts for v in caches)
         for check in ("boundary_squared", "euler"):
             assert assertion_stats[check] - before[check] >= computations, check
 
-    def test_clear_caches_empties_the_island_key_memo(self):
-        # and the sequential-CM verdict memo
+    def test_clear_caches_empties_the_cache_and_the_verdict_memo(self):
         betti_tables_hochster(path_ideal(line(9), 3))
         assert is_sequentially_cm(path_ideal(line(9), 3), QQ)
-        assert homology._island_keys and homology._scm_verdicts and homology._homology_cache
+        assert homology._scm_verdicts and homology._homology_cache
         homology.clear_caches()
-        assert not homology._island_keys and not homology._scm_verdicts and not homology._homology_cache
+        assert not homology._scm_verdicts and not homology._homology_cache
+
+    def test_every_key_is_canonical(self):
+        # one canonical form for both kinds: each cached key, island or
+        # link, is a fixed point of _canonical_faces
+        homology.clear_caches()
+        betti_tables_hochster(path_ideal(random_tree(12005, 12), 3), max_n=13)
+        for field in (QQ, gf(2)):
+            assert is_sequentially_cm(path_ideal(random_tree(12005, 12), 2), field)
+            assert is_sequentially_cm(projective_plane_ideal(), field) is (field == QQ)
+        assert {key[0] for key in homology._homology_cache} == {FACETS, NON_FACES}
+        for key in homology._homology_cache:
+            assert homology._canonical_faces(key[1]) == key[1], key
 
     def test_bounded_cache_keeps_answers(self, monkeypatch):
         cases = [path_ideal(line(7), 3), projective_plane_ideal(), four_cycle_edge_ideal()]
@@ -456,9 +482,7 @@ class TestHomologyCache:
         expected = answers()
         bound = 3
         sizes = []
-        key_sizes = []
         compute = homology._homology_from_faces
-        island_key = homology._island_key
 
         def watched(*args, **kwargs):
             # every insert follows a computation, so this sees each state
@@ -466,35 +490,19 @@ class TestHomologyCache:
             sizes.append(len(homology._homology_cache))
             return compute(*args, **kwargs)
 
-        def watched_key(masks):
-            # likewise for the island-key memo: an insert follows each key
-            key_sizes.append(len(homology._island_keys))
-            return island_key(masks)
-
         monkeypatch.setattr(homology, "HOMOLOGY_CACHE_MAX", bound)
         monkeypatch.setattr(homology, "_homology_from_faces", watched)
-        monkeypatch.setattr(homology, "_island_key", watched_key)
         homology.clear_caches()
         verdict_sizes.clear()
         assert answers() == expected
         sizes.append(len(homology._homology_cache))
-        key_sizes.append(len(homology._island_keys))
-        assert max(sizes) <= bound and max(key_sizes) <= bound
+        assert max(sizes) <= bound
         # five verdicts (one per path ideal or 4-cycle, three for the
         # projective plane) pass the bound of three once
         assert max(verdict_sizes) == bound and verdict_sizes[-1] < bound
-        # each bound was reached more than once
-        assert len(sizes) > 2 * bound and len(key_sizes) > 2 * bound
+        # the cache bound was reached more than once
+        assert len(sizes) > 2 * bound
         homology.clear_caches()
-
-
-def _permuted(masks, perm):
-    """The masks with bit b moved to bit perm[b]."""
-    return [sum(1 << perm[b] for b in range(len(perm)) if m >> b & 1) for m in masks]
-
-
-def _path_masks(seed, n, t):
-    return [sum(1 << (v - 1) for v in g) for g in path_ideal(random_tree(seed, n), t).gens]
 
 
 def _mask_sets(masks):
@@ -504,23 +512,22 @@ def _mask_sets(masks):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(2, 10), st.sampled_from((2, 3)), st.randoms(use_true_random=False))
 def test_relabelling_a_tree_keeps_tables_and_cache_entries(seed, n, t, rng):
+    # any labelling keeps the tables; the entries stay when the labelling
+    # keeps or reverses the vertex order (see _order_keeping)
     tree = random_tree(seed, n)
     results = []
-    for g in (tree, _relabelled(tree, rng)):
+    for g in (tree, *_order_keeping(tree, rng), _relabelled(tree, rng)):
         homology.clear_caches()
         tables = betti_tables_hochster(path_ideal(g, t))
         results.append(([tables[f].entries for f in homology.DEFAULT_FIELDS], len(homology._homology_cache)))
-    assert results[0] == results[1]
+    assert all(row[0] == results[0][0] for row in results)
+    assert results[0][1] == results[1][1] == results[2][1]
 
 
 class TestIslandKey:
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.integers(0, 10**6), st.integers(2, 12), st.sampled_from((2, 3, 4)),
-           st.randoms(use_true_random=False))
-    def test_bit_permutations_of_path_hypergraphs_share_the_key(self, seed, n, t, rng):
-        masks = _path_masks(seed, n, t)
-        perm = rng.sample(range(20), n)
-        assert homology._island_key(_permuted(masks, perm)) == homology._island_key(masks)
+    """A Hochster island is keyed by _canonical_faces, as a Reisner link
+    is: a relabelled copy of its masks, with their homology whether the
+    masks are read as facets or as minimal non-faces."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8, unique=True))
@@ -535,7 +542,7 @@ class TestIslandKey:
 
     @staticmethod
     def _assert_relabelling(masks):
-        key = homology._island_key(masks)
+        key = homology._canonical_faces(masks)
         assert Counter(m.bit_count() for m in key) == Counter(m.bit_count() for m in masks)
         union = 0
         for m in key:
@@ -543,29 +550,8 @@ class TestIslandKey:
         assert union == (1 << len(set().union(*_mask_sets(masks)))) - 1
         for p in (None, 2):
             assert simple_homology(_mask_sets(key), p) == simple_homology(_mask_sets(masks), p), p
-
-    @pytest.mark.parametrize("masks", [
-        [1 << 0 | 1 << leaf for leaf in range(1, 13)],  # t=2 edge ideal of a 12-leaf star
-        [sum(1 << v for v in c) for c in combinations(range(7), 3)],
-    ], ids=["star", "3-subsets"])
-    def test_symmetric_inputs_refine_a_bounded_number_of_times(self, masks, monkeypatch):
-        refine = homology._refine
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return refine(*args)
-
-        monkeypatch.setattr(homology, "_refine", counted)
-        n = len(set().union(*_mask_sets(masks)))
-        rng = random.Random(0)
-        keys = set()
-        for _ in range(20):
-            calls.clear()
-            keys.add(homology._island_key(_permuted(masks, rng.sample(range(24), n))))
-            # one refinement, then one after each individualization
-            assert len(calls) <= n
-        assert len(keys) == 1
+            islands = [_vertex_lists(faces_from_non_faces(m)) for m in (key, masks)]
+            assert simple_homology(islands[0], p) == simple_homology(islands[1], p), p
 
 
 def _masks(sets):

@@ -126,8 +126,14 @@ class TestEqualsComponents:
 
 class TestExport:
     def test_json_roundtrip(self):
-        ideal = path_ideal(line(7), 3)
-        assert ideal_from_json(ideal_to_json(ideal)) == ideal
+        for ideal in (path_ideal(line(7), 3), zero_ideal({1, 2}), make_ideal([set()], ambient={1})):
+            assert ideal_from_json(ideal_to_json(ideal)) == ideal
+
+    def test_json_refuses_generators_that_are_not_minimal(self):
+        # {1, 2} divides {1, 2, 3}: the ideal has one generator, not two
+        for gens in ("[[1, 2], [1, 2, 3]]", "[[], [1]]"):
+            with pytest.raises(ValueError, match="not minimal"):
+                ideal_from_json(f'{{"ambient": [1, 2, 3], "gens": {gens}}}')
 
     def test_macaulay2(self):
         ideal = make_ideal([{2, 1}, {3, 4}], ambient={1, 2, 3, 4})

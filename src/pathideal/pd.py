@@ -168,16 +168,23 @@ def splitting_data(tree: RootedTree, t: int, path: tuple | None = None) -> Split
     )
 
 
-def _shape_id(tree: RootedTree, memo: dict) -> int:
-    """The rooted shape as an int (Aho-Hopcroft-Ullman): one pass up the
-    levels interns each vertex's sorted tuple of child ids.  Under one
-    table, ids are equal iff the rooted shapes are isomorphic, so their path
-    ideals differ only by relabeling.  The table is ``memo`` itself, under
-    tuple keys, so the ids live exactly as long as the pd values they key."""
+def _shape_ids(tree: RootedTree, memo: dict) -> dict[int, int]:
+    """Each vertex's rooted subtree shape as an int (Aho-Hopcroft-Ullman):
+    one pass up the levels interns each vertex's sorted tuple of child ids.
+    Under one table, ids are equal iff the rooted shapes are isomorphic, so
+    their path ideals differ only by relabeling.  The table is ``memo``
+    itself, under tuple keys, so the ids live exactly as long as the pd
+    values they key."""
     ids: dict[int, int] = {}
     for v in sorted(tree.vertices, key=tree.levels.__getitem__, reverse=True):
         ids[v] = memo.setdefault(tuple(sorted(map(ids.__getitem__, tree.children[v]))), len(memo))
-    return ids[tree.root]
+    return ids
+
+
+def _shape_id(tree: RootedTree, memo: dict) -> int:
+    """The rooted shape of the whole tree, from scratch: its root's entry
+    in ``_shape_ids``."""
+    return _shape_ids(tree, memo)[tree.root]
 
 
 @dataclass
@@ -188,24 +195,56 @@ class RecursionStep:
     removed: tuple
 
 
-def _pieces(forest: Forest, t: int, memo: dict) -> list[tuple[RootedTree, int]]:
-    """The components with a nonzero path ideal, with their shape ids."""
-    return [(c, _shape_id(c, memo)) for c in forest.components if c.height() >= t - 1]
+def _pieces(piece: RootedTree, ids: dict, forest: Forest, removed, t: int, memo: dict) -> list:
+    """The components of ``forest`` (``piece`` less the vertices in the set
+    ``removed``) with a nonzero path ideal, as (shape id, component, id
+    map) triples, without a walk over the components.
+
+    ``ids`` holds ``_shape_ids`` of ``piece``, and may hold other vertices
+    too.  Deleting vertices changes a subtree only at a surviving ancestor
+    of a removed vertex, so only those are re-interned, in one copy of
+    ``ids`` that every component shares: each removed vertex's walk up
+    re-interns its ancestors bottom-up, from their children left in the
+    forest, and stops at a removed vertex.  A vertex two walks reach is
+    re-interned last by a walk that passed all of its changed children;
+    every other vertex of a split's zone lies below its highest one, so
+    only one walk leaves the zone.  Any other vertex keeps its id: a component hanging below the cut
+    is a whole subtree of ``piece``, so its id is the one ``piece`` gave its
+    root."""
+    parent, children = piece.parent, piece.children
+    patched = dict(ids)
+    for v in removed:
+        patched.pop(v, None)
+    for v in removed:
+        u = parent.get(v)
+        while u is not None and u not in removed:
+            kids = children[u]
+            if len(kids) == 1:  # every vertex on a line: no sort
+                key = () if kids[0] in removed else (patched[kids[0]],)
+            else:
+                key = tuple(sorted([patched[c] for c in kids if c not in removed]))
+            patched[u] = memo.setdefault(key, len(memo))
+            u = parent.get(u)
+    return [(patched[c.root], c, patched) for c in forest.components if c.height() >= t - 1]
 
 
 def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
     """pd(R/I_t) of a piece of a forest that passed pd_recursive's check,
     by leaf splits at leaf_generator in one loop over a stack of pieces;
-    ``memo`` (one per t) maps shape ids to pd.  A piece popped the first
-    time is split once and pushed back under the components of minus_leaf,
-    then of minus_zone, so splits, trace steps and memo hits come in the
-    pre-order of a recursive descent.  Popped again, its sub-pieces are all
-    memoized and its value is
+    ``memo`` (one per t) maps shape ids to pd.  Only ``tree`` gets its
+    shape ids from scratch; each piece carries its id map on the stack, and
+    ``_pieces`` patches it above the cut for the pieces split off it.  A
+    piece popped the first time is split once and pushed back, as its id
+    and split alone, under the components of minus_leaf, then of
+    minus_zone, so splits, trace steps and memo hits come in the pre-order
+    of a recursive descent.  Popped again, its sub-pieces are all memoized
+    and its value is
     max(sum over minus_leaf, sum over minus_zone + off_path_count + 1)."""
-    root_key = _shape_id(tree, memo)
-    stack: list = [(tree, root_key, None)]
+    ids = _shape_ids(tree, memo)
+    root_key = ids[tree.root]
+    stack: list = [(root_key, tree, ids, None)]
     while stack:
-        piece, key, split = stack.pop()
+        key, piece, ids, split = stack.pop()
         if key in memo:
             continue
         if split is not None:
@@ -222,9 +261,10 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
                     removed=tuple(sorted(sd.removed)),
                 )
             )
-        leaf, zone = _pieces(sd.minus_leaf, t, memo), _pieces(sd.minus_zone, t, memo)
-        stack.append((piece, key, ([k for _, k in leaf], [k for _, k in zone], sd.off_path_count)))
-        stack.extend((sub, k, None) for sub, k in reversed(leaf + zone))
+        leaf = _pieces(piece, ids, sd.minus_leaf, {sd.path[-1]}, t, memo)
+        zone = _pieces(piece, ids, sd.minus_zone, sd.removed, t, memo)
+        stack.append((key, None, None, ([k for k, _, _ in leaf], [k for k, _, _ in zone], sd.off_path_count)))
+        stack.extend((k, sub, sub_ids, None) for k, sub, sub_ids in reversed(leaf + zone))
     return memo[root_key]
 
 
@@ -359,7 +399,7 @@ def pd_auto(
                     continue
                 sd = splitting_data(tree, t, alt)
                 leaf, zone = (
-                    sum(_pd_tree(piece, t, memo, None) for piece, _ in _pieces(forest, t, memo))
+                    sum(_pd_tree(piece, t, memo, None) for piece in forest.components if piece.height() >= t - 1)
                     for forest in (sd.minus_leaf, sd.minus_zone)
                 )
                 alt_value = max(leaf, zone + sd.off_path_count + 1)

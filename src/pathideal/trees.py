@@ -241,25 +241,49 @@ def path_ideal(g: TreeOrForest, t: int) -> SquarefreeIdeal:
 def delete_vertices(g: TreeOrForest, remove: Iterable[int]) -> Forest:
     """Remove the given vertices and all incident edges; each surviving
     component is rooted at its unique vertex without a surviving parent.
-    Components come sorted by root, each the restriction of its tree's maps
-    read by one walk down from the root: children tuples stay sorted with
-    the deleted vertices left out, and levels count from the new root."""
+    Components come sorted by root; children tuples stay sorted with the
+    deleted vertices left out, and levels count from the new root.
+
+    Only what changed is walked in Python.  A tree none of whose vertices
+    is removed is kept as it is.  Otherwise the component of its root is
+    its ``parent``/``children``/``levels`` maps copied whole, less the
+    removed vertices and everything below them, with a new children tuple
+    at each surviving parent of a removed vertex; its levels are unchanged.
+    The subtrees hanging below removed vertices are the only ones walked:
+    each becomes a component with levels counted from its new root.  The
+    input's maps are never changed."""
     gone = set(remove)
-    roots = {
-        r: tree
-        for tree in component_trees(g)
-        for r in tree.vertices
-        if r not in gone and (r == tree.root or tree.parent[r] in gone)
-    }
     comps = []
-    for r in sorted(roots):
-        tree, parent, children, levels, stack = roots[r], {}, {}, {r: 0}, [r]
-        while stack:
-            u = stack.pop()
-            kids = tree.children[u]
-            children[u] = kids if gone.isdisjoint(kids) else tuple(c for c in kids if c not in gone)
-            for c in children[u]:
-                parent[c], levels[c] = u, levels[u] + 1
-            stack.extend(children[u])
-        comps.append(RootedTree(r, parent, children, levels, tuple(sorted(levels))))
+    for tree in component_trees(g):
+        cut = [v for v in gone if v in tree.levels]
+        if not cut:
+            comps.append(tree)
+            continue
+        dropped = list(cut)
+        for v in cut:
+            for r in tree.children[v]:
+                if r in gone:
+                    continue
+                parent, children, levels, stack = {}, {}, {r: 0}, [r]
+                while stack:
+                    u = stack.pop()
+                    kids = tree.children[u]
+                    children[u] = kids if gone.isdisjoint(kids) else tuple(c for c in kids if c not in gone)
+                    for c in children[u]:
+                        parent[c], levels[c] = u, levels[u] + 1
+                    stack.extend(children[u])
+                dropped.extend(levels)
+                comps.append(RootedTree(r, parent, children, levels, tuple(sorted(levels))))
+        if tree.root in gone:
+            continue
+        parent, children, levels = dict(tree.parent), dict(tree.children), dict(tree.levels)
+        for v in dropped:
+            del parent[v], children[v], levels[v]
+        for v in cut:
+            above = tree.parent[v]
+            if above in levels:
+                children[above] = tuple(c for c in tree.children[above] if c not in gone)
+        vertices = tuple(sorted(levels))
+        comps.append(RootedTree(tree.root, parent, children, levels, vertices))
+    comps.sort(key=lambda c: c.root)
     return Forest(tuple(comps))

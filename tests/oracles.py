@@ -8,7 +8,9 @@ a scan of all 2^q subcollections of the q facets, leaf orders from a
 backtracking search, proper-chain distances from a search that scans
 every facet at every step, vertex deletion from a rebuild of each
 component's edge list through ``RootedTree.from_edges``, rooted shapes
-from the recursive nested-tuple AHU encoding, sequential
+from the recursive nested-tuple AHU encoding, the leaf-split recursion
+for pd from a recursive descent over rebuilt pieces keyed by that
+encoding, sequential
 Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
 Reisner's definition), the 0/1-point test of Schmitt-Vogel witnesses
@@ -313,6 +315,58 @@ def ahu_nested_key(tree: RootedTree) -> tuple:
         return tuple(sorted(encode(c) for c in tree.children[v]))
 
     return encode(tree.root)
+
+
+def pd_trace_by_rebuild(g: TreeOrForest, t: int) -> tuple[int, list[tuple]]:
+    """pd(R/I_t) by the paper's leaf splits, pd = max(pd(T - v),
+    pd(T - Z) + c + 1), with its trace, as a recursive descent in which
+    every piece is rebuilt by ``delete_vertices_by_rebuild`` and memoized
+    on its nested AHU encoding, computed from scratch.  The split is at the
+    smallest chain of t vertices above a deepest vertex, and Z is that
+    chain with the parent of its top, the children of its bottom and the
+    other children of its second-lowest vertex; c = |Z| - t.  Components
+    with a zero path ideal add 0, and one memo serves them all.  Each trace
+    step is (piece vertices, path, off path, removed), sorted like the
+    fields of ``pathideal.pd.RecursionStep``.  Raises ValueError, before
+    any split, when a component's facet complex is not properly-connected
+    (by ``properly_connected_by_scan``)."""
+    components = component_trees(g)
+    for tree in components:
+        facets = [chain_of(tree, v, t) for v in tree.vertices if tree.levels[v] >= t - 1]
+        if not properly_connected_by_scan(make_complex(facets, ambient=tree.vertices))[0]:
+            raise ValueError("facet complex is not properly-connected")
+    memo: dict = {}
+    trace: list[tuple] = []
+
+    def pd_of(tree: RootedTree) -> int:
+        key = ahu_nested_key(tree)
+        if key in memo:
+            return memo[key]
+        deepest = max(tree.levels.values())
+        path = min(chain_of(tree, v, t) for v in tree.vertices if tree.levels[v] == deepest)
+        top, second_lowest, bottom = path[0], path[-2], path[-1]
+        off = set(tree.children[bottom]) | set(tree.children[second_lowest]) - {bottom}
+        if top != tree.root:
+            off.add(tree.parent[top])
+        removed = off | set(path)
+        trace.append((tree.vertices, path, tuple(sorted(off)), tuple(sorted(removed))))
+        leaf, zone = (
+            sum(pd_of(c) for c in delete_vertices_by_rebuild(tree, gone).components if c.height() >= t - 1)
+            for gone in ({bottom}, removed)
+        )
+        memo[key] = max(leaf, zone + len(off) + 1)
+        return memo[key]
+
+    value = sum(pd_of(tree) for tree in components if tree.height() >= t - 1)
+    return value, trace
+
+
+def chain_of(tree: RootedTree, end: int, t: int) -> tuple:
+    """The t vertices on the way up from ``end``, read from the top."""
+    chain = [end]
+    while len(chain) < t:
+        chain.append(tree.parent[chain[-1]])
+    return tuple(reversed(chain))
 
 
 def sequentially_cm_by_all_skeleta(ideal, field) -> bool:

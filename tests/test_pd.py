@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from oracles import ahu_nested_key
+from oracles import ahu_nested_key, pd_trace_by_rebuild
 from pathideal import (
     NotProperlyConnectedError,
     leaf_generator,
@@ -28,6 +28,16 @@ from pathideal.trees import Forest, RootedTree, component_trees, delete_vertices
 
 def shifted(tree, by):
     return RootedTree.from_edges(((u + by, v + by) for u, v in tree.edges()), root=tree.root + by)
+
+
+def relabelled_trees(count, seed):
+    """``random_tree`` shapes on 2..60 vertices under random ids, gapped so
+    that the id order says nothing about the shape."""
+    rng = random.Random(seed)
+    for k in range(count):
+        tree = random_tree(seed + k, 2 + (13 * k) % 59)
+        label = dict(zip(tree.vertices, rng.sample(range(1, 4 * tree.n), tree.n)))
+        yield RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
 
 
 class TestClosedForm:
@@ -221,6 +231,40 @@ class TestRecursion:
         assert trace == []
 
 
+class TestRecursionOracle:
+    """Values and split traces equal the recursion that rebuilds every
+    piece and keys it by its nested encoding, and both refuse the same
+    inputs."""
+
+    @staticmethod
+    def agrees(g, t):
+        try:
+            expected = pd_trace_by_rebuild(g, t)
+        except ValueError:
+            with pytest.raises(NotProperlyConnectedError):
+                pd_recursive(g, t)
+            return False
+        trace = []
+        value = pd_recursive(g, t, trace=trace)
+        assert (value, [dataclasses.astuple(step) for step in trace]) == expected, (g.vertices, t)
+        return True
+
+    def test_lines(self):
+        for n in range(2, 61):
+            for t in (2, 3, 4, 5):
+                assert self.agrees(line(n), t)
+
+    def test_relabelled_random_trees(self):
+        checked = refused = 0
+        for tree in relabelled_trees(60, 2200):
+            for t in (2, 3, 4, 5):
+                if self.agrees(tree, t):
+                    checked += 1
+                else:
+                    refused += 1
+        assert checked > 60 and refused > 20
+
+
 class TestShapeIds:
     def test_ids_agree_with_the_nested_encoding(self):
         """Under one table, two trees get equal shape ids iff their nested
@@ -241,6 +285,30 @@ class TestShapeIds:
             for j in range(len(trees)):
                 assert (ids[i] == ids[j]) == (codes[i] == codes[j]), (i, j)
         assert len(set(codes)) < len(trees) // 2
+
+    def test_every_piece_gets_its_from_scratch_id(self, monkeypatch):
+        """Each piece the recursion pushes carries, for every vertex, the id
+        that ``_shape_ids`` interns from scratch in the same table."""
+        real = pd._pieces
+        pieces = 0
+
+        def checked(piece, ids, forest, removed, t, memo):
+            nonlocal pieces
+            out = real(piece, ids, forest, removed, t, memo)
+            for key, sub, sub_ids in out:
+                fresh = pd._shape_ids(sub, memo)
+                assert key == pd._shape_id(sub, memo) == fresh[sub.root]
+                assert all(sub_ids[v] == fresh[v] for v in sub.vertices)
+                pieces += 1
+            return out
+
+        monkeypatch.setattr(pd, "_pieces", checked)
+        trees = [line(n) for n in range(2, 41)] + list(relabelled_trees(40, 2300))
+        for tree in trees:
+            for t in (2, 3, 4):
+                if tree.height() >= t - 1:
+                    pd._pd_tree(tree, t, {}, None)
+        assert pieces > 5000
 
 
 class TestInheritance:

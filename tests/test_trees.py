@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -12,7 +13,8 @@ from pathideal import (
     path_ideal,
 )
 from pathideal.corpus import line, random_tree, reroot, twelve_vertex_tree, twelve_vertex_tree_rerooted
-from pathideal.trees import format_tree, tree_from_json, tree_to_json
+from pathideal.pd import splitting_data
+from pathideal.trees import RootedTree, format_tree, tree_from_json, tree_to_json
 
 
 def monomials(paths):
@@ -211,6 +213,70 @@ class TestDeleteVertices:
                 gone = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
                 assert delete_vertices(g, gone) == delete_vertices_by_rebuild(g, gone), (seed, gone)
         assert forests > 50
+
+    @staticmethod
+    def patched_like_the_rebuild(g, gone):
+        """The result equals the rebuild's, and the input keeps every map
+        it had: a component either is an input tree, untouched, or shares
+        no map with one."""
+        before = copy.deepcopy(g)
+        forest = delete_vertices(g, gone)
+        assert forest == delete_vertices_by_rebuild(g, gone)
+        assert g == before
+        inputs = (g,) if isinstance(g, RootedTree) else g.components
+        for comp in forest.components:
+            for tree in inputs:
+                if comp is not tree:
+                    for name in ("parent", "children", "levels"):
+                        assert getattr(comp, name) is not getattr(tree, name), name
+        return forest
+
+    # root 1 with a side branch 10 -> 11, and the chain 2 -> 3 -> 4 -> 5 whose
+    # vertices 2 and 3 carry subtrees at 20 and 30 and 4 a second leaf 6
+    BRANCHED = RootedTree.from_edges(
+        [(1, 2), (1, 10), (10, 11), (2, 3), (2, 20), (20, 21), (20, 22), (3, 4), (3, 30), (30, 31), (4, 5), (4, 6)]
+    )
+
+    def test_the_root(self):
+        forest = self.patched_like_the_rebuild(self.BRANCHED, {1})
+        assert [c.root for c in forest.components] == [2, 10]
+        assert forest.components[0].levels[5] == 3
+
+    def test_a_root_with_one_child(self):
+        forest = self.patched_like_the_rebuild(line(6), {1})
+        assert forest.components[0] == RootedTree.from_edges([(i, i + 1) for i in range(2, 6)])
+        tree = RootedTree.from_edges([(7, 1), (1, 2), (1, 3), (3, 4)])
+        assert [c.root for c in self.patched_like_the_rebuild(tree, {7}).components] == [1]
+
+    def test_a_deepest_leaf(self):
+        forest = self.patched_like_the_rebuild(self.BRANCHED, {5})
+        assert forest.components[0].children[4] == (6,)
+        self.patched_like_the_rebuild(line(9), {9})
+
+    def test_a_split_zone_that_cuts_off_several_subtrees(self):
+        sd = splitting_data(self.BRANCHED, 3, (3, 4, 5))
+        assert sd.removed == {2, 3, 4, 5, 6}
+        forest = self.patched_like_the_rebuild(self.BRANCHED, sd.removed)
+        assert [c.vertices for c in forest.components] == [(1, 10, 11), (20, 21, 22), (30, 31)]
+        assert forest.components[0].children[1] == (10,)
+        assert forest.components[1].levels == {20: 0, 21: 1, 22: 1}
+        assert sd.minus_zone == forest
+
+    def test_an_absent_vertex(self):
+        forest = self.patched_like_the_rebuild(self.BRANCHED, {999})
+        assert forest.components == (self.BRANCHED,)
+        self.patched_like_the_rebuild(self.BRANCHED, {5, 999})
+
+    def test_every_vertex(self):
+        assert self.patched_like_the_rebuild(self.BRANCHED, self.BRANCHED.vertices).is_empty
+        assert self.patched_like_the_rebuild(line(1), {1}).is_empty
+
+    def test_vertices_of_a_forest(self):
+        g = delete_vertices_by_rebuild(self.BRANCHED, {3})
+        forest = self.patched_like_the_rebuild(g, {2, 30, 5})
+        assert [c.root for c in forest.components] == [1, 4, 20, 31]
+        self.patched_like_the_rebuild(g, {4, 999})
+        self.patched_like_the_rebuild(g, g.vertices)
 
     def test_forest_disjointness_enforced(self):
         with pytest.raises(TreeError):

@@ -56,10 +56,11 @@ the translates and reflections of a collection, and isomorphic copies
 under other labels may get entries of their own.  That is cheap: a miss
 builds only the faces outside one vertex star, and a label-free key
 (colour refinement of each Hochster island, once used here) cost more on
-the benchmark's betti-fields workload than the entries it saved.  The key is built in one pass over the set bits; the 3,420 link
-keys of one round of the benchmark's scm-skeleta workload (the median
-link has 10 generating faces on 7 vertices) take 0.029 s, about 8.5 us
-each, against 0.137 s for a bit-by-bit build (Python 3.11, 2-CPU host).
+the benchmark's betti-fields workload than the entries it saved.  The
+key is built in one pass over the set bits; the 787 keys of one round of
+the benchmark's scm-skeleta workload (759 of them links, whose median has
+7 generating faces on 7 vertices) take 0.005 s, 6 us each (Python 3.11,
+2-CPU host).
 Every complex is first eliminated over Q.  When every rank of that
 elimination is certified (see ``linalg``), the homology is the same
 over every field and one entry, keyed without the field, answers them
@@ -70,11 +71,12 @@ cache holds at most HOMOLOGY_CACHE_MAX entries: an insert that would pass
 the bound empties it first.
 
 The sequentially-CM test checks Duval's skeleton criterion with Reisner's
-test, but only where theory does not already settle the answer: on the
-skeleta of facet dimensions, at faces of a facet of that dimension (the
-proof is in ``is_sequentially_cm``).  ``is_cohen_macaulay`` tests every
-face.  The sweep runs once per ideal when it can: its verdict is memoized
-by the ambient size and ``_canonical_faces`` of the generators
+test, only on the skeleta of facet dimensions and at faces of a facet of
+that dimension, and reads each link off the facets of the Stanley-Reisner
+complex rather than off the skeleton (the proofs are in
+``is_sequentially_cm`` and ``_reisner_cm_pure``).  ``is_cohen_macaulay``
+tests every face.  The sweep runs once per ideal when it can: its verdict
+is memoized by the ambient size and ``_canonical_faces`` of the generators
 (``_scm_verdicts``, a verdict memo and no homology cache, bounded and
 emptied like the cache), without the field when every link homology the
 sweep consulted was certified.  Those ranks hold over every GF(p), cones
@@ -85,6 +87,8 @@ part of the key, as for the projective plane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import and_
 
 from .bits import bit_index, iter_bits, submasks, to_mask
 from .errors import BoundExceededError, CheckFailedError
@@ -319,9 +323,11 @@ def _quotient_faces(kind: str, masks) -> set[int]:
       ideal's island v lies in a single generator, as the deepest vertex
       does, so this is one enumeration.
     * FACETS: v maximises the sum of 2^|G| over the masks G through it,
-      the lowest on ties; on a pure complex that is the vertex in the most
-      top faces.  The kept faces are those of the masks without v that lie
-      in no G - v with G a mask through v.
+      the lowest on ties.  A Reisner link is generated by faces of several
+      sizes (``_reisner_cm_pure``), and the rule is the same for it; on a
+      pure complex it picks the vertex in the most top faces.  The kept
+      faces are those of the masks without v that lie in no G - v with G a
+      mask through v.
 
     With no vertex at all the complex is {{}} or void, and is kept whole."""
     union = 0
@@ -621,44 +627,43 @@ def char_independence_report(
     return (not diffs, diffs)
 
 
-def _reisner_cm_pure(
-    top_faces: list[int], p: int | None, centres: set[int] | None = None
-) -> tuple[bool, bool]:
-    """Reisner's criterion for the pure complex generated by equal-sized
-    top faces, tested at the faces in ``centres`` (every face when None).
-    Links in a pure complex are pure, so a link whose top faces share a
-    vertex is a cone and passes vacuously; a one-dimensional link only
-    needs connectivity; the remaining links need their homology.
+def _reisner_cm_pure(facets: list[int], size: int, p: int | None) -> tuple[bool, bool]:
+    """Reisner's criterion for the pure skeleton D^[i], i = size - 1, of
+    the complex D with the given facets, at the faces of its facets of
+    exactly ``size`` vertices (every face when D is pure).  Lemma: D^[i] is
+    the i-skeleton of D_{>=i}, the subcomplex generated by the facets with
+    at least i + 1 vertices, since each of its faces with at most i + 1
+    vertices extends to an i-face inside its facet.  So lk_{D^[i]} s is the
+    d'-skeleton of lk_{D>=i} s, d' = i - |s|, and a d'-skeleton has the
+    complex's reduced homology in every degree below d'.  The test at s,
+    H~_j = 0 for j < d', therefore reads the link generated by the faces
+    F - s, F a facet through s with at least i + 1 vertices.  A link whose
+    generating faces share a vertex is a cone and passes; at d' = 1 each
+    generating face has two vertices or more, so the link is connected
+    when their hypergraph is; at d' <= 0 there is nothing to test.
 
     Returns the verdict and whether it holds over every field: it does when
     every link homology consulted was certified, that is found in
     ``_homology_cache`` keyed without the field, since cones and
     connectivity do not depend on the field either."""
-    if not top_faces:
-        return True, True
-    size = top_faces[0].bit_count()
-    link_tops: dict[int, list[int]] = {}
-    for F in top_faces:
-        for sigma in submasks(F):
-            if centres is None or sigma in centres:
-                link_tops.setdefault(sigma, []).append(F & ~sigma)
+    tested: set[int] = set()
+    for F in facets:
+        if F.bit_count() == size:
+            tested.update(submasks(F))
+    generating = [F for F in facets if F.bit_count() >= size]
     certified = True
-    for sigma, tops in link_tops.items():
+    for sigma in tested:
         link_dim = size - sigma.bit_count() - 1
         if link_dim <= 0:
             continue
-        apex = tops[0]
-        for m in tops[1:]:
-            apex &= m
-            if not apex:
-                break
-        if apex:
+        gens = [F ^ sigma for F in generating if F & sigma == sigma]
+        if reduce(and_, gens):
             continue
         if link_dim == 1:
-            if len(hypergraph_components(tops)) > 1:
+            if len(hypergraph_components(gens)) > 1:
                 return False, certified
             continue
-        canon = _canonical_faces(tops)
+        canon = _canonical_faces(gens)
         dims = _cached_homology(FACETS, canon, p)
         certified = certified and (FACETS, canon) in _homology_cache
         if any(deg < link_dim and d for deg, d in dims.items()):
@@ -671,7 +676,8 @@ def is_cohen_macaulay(cx: Complex, field: Field = QQ) -> bool:
     are pure, so the pure form of the criterion decides the rest."""
     if not is_pure(cx):
         return False
-    return _reisner_cm_pure(_facet_masks(cx), field.p)[0]
+    facets = _facet_masks(cx)
+    return not facets or _reisner_cm_pure(facets, facets[0].bit_count(), field.p)[0]
 
 
 def is_sequentially_cm(
@@ -683,20 +689,16 @@ def is_sequentially_cm(
 
     Only the facet dimensions of D are visited, from the top down, and at
     dimension i Reisner's test runs only at faces lying in an
-    i-dimensional facet of D.  This settles every other check, by
-    induction from the top dimension down, with D^[i+1] Cohen-Macaulay:
-
-    * Let s be a face of D^[i] in no i-dimensional facet of D.  Then every
-      i-face containing s lies in an (i+1)-face, so lk_{D^[i]} s is the
-      (i - |s|)-skeleton of lk_{D^[i+1]} s.
-    * Links of a Cohen-Macaulay complex are Cohen-Macaulay, and so are its
-      skeleta: the k-skeleton has the complex's reduced homology in every
-      degree below k, and its links are the skeleta of the links.
-
-    At the top dimension every face is tested, since every top face is a
-    facet.  At a facet dimension the untested faces are those of the first
-    case; at a dimension without facets, and below the smallest facet
-    dimension, every face is.
+    i-dimensional facet of D.  By the lemma in ``_reisner_cm_pure``, the
+    test at a face s of D^[i] asks that lk_{D>=i} s have no reduced
+    homology below i - |s|.  If s lies in no i-dimensional facet, every
+    facet through s with at least i + 1 vertices has at least i + 2, so
+    lk_{D>=i} s = lk_{D>=i+1} s, which has no homology below i + 1 - |s|
+    once D^[i+1] is Cohen-Macaulay.  So by induction from the top
+    dimension down every untested face passes: at a facet dimension those
+    outside its facets, and at a dimension without facets, or below the
+    smallest facet dimension, every face.  At the top dimension every face
+    is tested, since every top face is a facet.
 
     One sweep answers every field when every link homology it consulted
     was certified: those ranks hold over every GF(p), the cone and
@@ -715,16 +717,10 @@ def is_sequentially_cm(
         verdict = _scm_verdicts.get((*key, field.p))
     if verdict is not None:
         return verdict
-    faces = _enumerate_faces((1 << n) - 1, gens)
-    facets = _maximal_faces(faces, n)
+    facets = _maximal_faces(_enumerate_faces((1 << n) - 1, gens), n)
     verdict = every_field = True
     for size in sorted({F.bit_count() for F in facets}, reverse=True):
-        centres: set[int] = set()
-        for F in facets:
-            if F.bit_count() == size:
-                centres.update(submasks(F))
-        generators = [m for m in faces if m.bit_count() == size]
-        verdict, certified = _reisner_cm_pure(generators, field.p, centres)
+        verdict, certified = _reisner_cm_pure(facets, size, field.p)
         every_field = every_field and certified
         if not verdict:
             break

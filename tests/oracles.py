@@ -13,7 +13,8 @@ for pd from a recursive descent over rebuilt pieces keyed by that
 encoding, sequential
 Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
-Reisner's definition), the 0/1-point test of Schmitt-Vogel witnesses
+Reisner's definition), the links a sequential-CM sweep reads homology
+from by a scan of every subset and every facet, the 0/1-point test of Schmitt-Vogel witnesses
 from a scan of all 2^n points, the facets of a face collection from a
 comparison of every pair of faces, the key of a collection of
 generating faces from its definition, vertex by vertex, the faces of a
@@ -388,6 +389,35 @@ def sequentially_cm_by_all_skeleta(ideal, field) -> bool:
         if not is_cohen_macaulay(skeleton, field):
             return False
     return True
+
+
+def facet_links_by_scan(ideal) -> list[tuple[int, frozenset, list[frozenset]]]:
+    """The links whose homology a sequential-CM sweep of the ideal reads,
+    as (size, face, generating faces) triples.  The Stanley-Reisner
+    complex's faces come from a scan of every subset, its facets from a
+    comparison of every pair.  For each facet size, at each face s of a
+    facet of that size with d' = size - |s| - 1 >= 2, the link generated by
+    the faces F - s (F a facet through s with at least size vertices) is
+    kept unless those faces share a vertex; a link with d' = 1 needs only
+    connectivity, and d' <= 0 nothing."""
+    universe = sorted(ideal.ambient)
+    faces = []
+    for mask in range(1 << len(universe)):
+        m = frozenset(universe[k] for k in range(len(universe)) if mask >> k & 1)
+        if not ideal.contains(m):
+            faces.append(m)
+    facets = maximal_sets_by_scan(faces)
+    links = []
+    for size in sorted({len(F) for F in facets}, reverse=True):
+        tested = {
+            frozenset(c) for F in facets if len(F) == size
+            for k in range(size - 2) for c in combinations(sorted(F), k)
+        }
+        for s in sorted(tested, key=sorted):
+            gens = [F - s for F in facets if len(F) >= size and s <= F]
+            if not frozenset.intersection(*gens):
+                links.append((size, s, gens))
+    return links
 
 
 def radical_point_check_by_scan(partition, ideal) -> bool:

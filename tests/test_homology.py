@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pathideal import (
     BoundExceededError,
@@ -43,9 +43,11 @@ from pathideal.homology import FACETS, NON_FACES, Field, assertion_stats
 
 from oracles import (
     canonical_faces_by_spec,
+    facet_links_by_scan,
     faces_from_facets,
     faces_from_non_faces,
     hochster_subsets_by_scan,
+    maximal_sets_by_scan,
     sequentially_cm_by_all_skeleta,
     simple_homology,
     taylor_betti,
@@ -796,6 +798,58 @@ class TestSequentiallyCM:
         for _, _, _, ideal in corpus_ideals():
             _assert_matches_oracle(ideal)
 
+    @pytest.mark.parametrize("edge, expected", [
+        # an edge hanging off vertex 1 keeps the 1-skeleton connected
+        ({1, 7}, {QQ: True, gf(2): False, gf(3): True}),
+        # a disjoint edge disconnects it, over every field
+        ({7, 8}, {QQ: False, gf(2): False, gf(3): False}),
+    ])
+    def test_projective_plane_with_an_edge(self, edge, expected):
+        facets = [set(f) for f in projective_plane_complex().facets] + [edge]
+        ideal = _stanley_reisner_ideal(facets, universe=set().union(*facets))
+        homology.clear_caches()
+        for field in (QQ, gf(2), gf(3)):
+            assert is_sequentially_cm(ideal, field) is expected[field], field
+        # every sweep consults the projective plane, which is uncertified
+        assert {key[2:] for key in homology._scm_verdicts} == {(None,), (2,), (3,)}
+        assert _uncertified_entries()
+        _assert_matches_oracle(ideal, (QQ, gf(2), gf(3)))
+
+    def test_certified_links_keep_one_verdict(self):
+        # two disjoint hollow tetrahedra: the empty face's link, the whole
+        # complex, is disconnected, which its certified homology shows
+        facets = [set(c) for block in ((1, 2, 3, 4), (5, 6, 7, 8)) for c in combinations(block, 3)]
+        ideal = _stanley_reisner_ideal(facets, universe=range(1, 9))
+        homology.clear_caches()
+        for field in (QQ, gf(2), gf(3)):
+            assert not is_sequentially_cm(ideal, field), field
+        assert len(homology._scm_verdicts) == 1 and not _uncertified_entries()
+        assert homology._homology_cache
+        _assert_matches_oracle(ideal, (QQ, gf(2), gf(3)))
+
+    def test_one_lookup_per_facet_link(self, monkeypatch):
+        # the sweep reads each link off the facets of the Stanley-Reisner
+        # complex, so it looks up exactly the non-cone links the scan finds;
+        # links built from the faces of a skeleton are cones less often, and
+        # this ideal made 83 lookups that way instead of 62
+        ideal = path_ideal(random_tree(12005, 12), 2)
+        kinds = []
+        cached = homology._cached_homology
+
+        def watched(kind, canon, p):
+            kinds.append(kind)
+            return cached(kind, canon, p)
+
+        monkeypatch.setattr(homology, "_cached_homology", watched)
+        homology.clear_caches()
+        assert is_sequentially_cm(ideal, QQ)
+        assert kinds == [FACETS] * len(facet_links_by_scan(ideal))
+
+
+def _uncertified_entries():
+    """Keys of homology cache entries whose Q elimination was not certified."""
+    return [key for key in homology._homology_cache if len(key) == 3]
+
 
 def _relabelled_ideal(ideal, label, extra=()):
     """The ideal with each vertex v renamed label(v), plus extra ambient vertices."""
@@ -879,8 +933,8 @@ def _stanley_reisner_ideal(facets, universe=SCM_UNIVERSE):
     return make_ideal(non_faces, ambient=vertices)
 
 
-def _assert_matches_oracle(ideal):
-    for field in (QQ, gf(2)):
+def _assert_matches_oracle(ideal, fields=(QQ, gf(2))):
+    for field in fields:
         assert is_sequentially_cm(ideal, field) == sequentially_cm_by_all_skeleta(ideal, field), (
             str(ideal), str(field))
 
@@ -896,6 +950,42 @@ def test_sequentially_cm_matches_oracle_on_stanley_reisner_ideals(facets):
 def test_sequentially_cm_matches_oracle_on_edge_ideals(edges):
     # graphs this dense give many "no" answers: 20 of these 80 draws
     _assert_matches_oracle(make_ideal(edges, ambient=SCM_UNIVERSE))
+
+
+def _rp2_with_a_tetrahedron():
+    """The projective plane on 0..5 and a tetrahedron on its edge {4, 5}:
+    facets of two sizes, with 2-torsion in degree 1."""
+    return [frozenset(v - 1 for v in f) for f in projective_plane_complex().facets] + [
+        frozenset({4, 5, 6, 7})
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5), min_size=2, max_size=6))
+@example(_rp2_with_a_tetrahedron())
+def test_skeleton_links_have_the_homology_of_facet_links(sets):
+    # the lemma of _reisner_cm_pure: in D^[size-1], the link of a face s of
+    # a facet of that size agrees, below d' = size - |s| - 1, with the link
+    # of s in the complex generated by the facets of at least size vertices
+    facets = maximal_sets_by_scan(sets)
+    sizes = {len(F) for F in facets}
+    assume(len(sizes) >= 2)
+    for size in sizes:
+        skeleton = {
+            frozenset(c) for F in facets if len(F) >= size for c in combinations(sorted(F), size)
+        }
+        tested = {
+            frozenset(c) for F in facets if len(F) == size
+            for k in range(size + 1) for c in combinations(sorted(F), k)
+        }
+        for s in tested:
+            d = size - len(s) - 1
+            skeleton_link = [t - s for t in skeleton if s <= t]
+            facet_link = [F - s for F in facets if len(F) >= size and s <= F]
+            for p in (None, 2, 3):
+                below = [{k: v for k, v in simple_homology(link, p).items() if k < d}
+                         for link in (skeleton_link, facet_link)]
+                assert below[0] == below[1], (sorted(map(sorted, facets)), size, sorted(s), p)
 
 
 class TestBounds:

@@ -233,7 +233,9 @@ def partition_from_jsonable(data: dict) -> SVPartition:
 def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
     """Lower bound pd(R/I); upper bound from the best valid partition found
     (explicit construction, exhaustive good-partition search, or the
-    singleton fallback)."""
+    singleton fallback).  The search is skipped on a line whose
+    ``no_good_partition_inequality`` holds, since it would find nothing;
+    ``verify`` still runs it there to cross-check the inequality."""
     if ideal.is_zero:
         return AraBounds(0, 0, True, None, "zero ideal")
     line = line_order(ideal)
@@ -249,9 +251,10 @@ def ara_bounds(ideal: SquarefreeIdeal, max_n: int | None = None) -> AraBounds:
         note = "pd from Hochster tables"
 
     partition: SVPartition | None = None
+    settled = line and no_good_partition_inequality(n, t)  # no good partition exists
     if line and t == 3 and n % 4 != 2:
         partition = line_partition_t3(ideal)
-    elif len(ideal.gens) <= DEFAULT_SEARCH_MAX_GENS and lower >= 1:
+    elif len(ideal.gens) <= DEFAULT_SEARCH_MAX_GENS and lower >= 1 and not settled:
         partition = good_partition_search(ideal, lower)
 
     if partition is not None:

@@ -54,13 +54,11 @@ Both kinds take the same key, compacted bits and the mirror image: a
 relabelled copy of the masks, so it has their homology.  It identifies
 the translates and reflections of a collection, and isomorphic copies
 under other labels may get entries of their own.  That is cheap: a miss
-builds only the faces outside one vertex star, and a label-free key
-(colour refinement of each Hochster island, once used here) cost more on
-the benchmark's betti-fields workload than the entries it saved.  The
-key is built in one pass over the set bits; the 787 keys of one round of
-the benchmark's scm-skeleta workload (759 of them links, whose median has
-7 generating faces on 7 vertices) take 0.005 s, 6 us each (Python 3.11,
-2-CPU host).
+builds only the faces outside one vertex star, and on the benchmark's
+betti-fields workload a label-free key (colour refinement of each
+Hochster island) costs more than the entries it saves.  The key is built
+in one pass over the set bits.
+
 Every complex is first eliminated over Q.  When every rank of that
 elimination is certified (see ``linalg``), the homology is the same
 over every field and one entry, keyed without the field, answers them
@@ -70,25 +68,34 @@ since certified ranks leave no room for a field-dependent answer.  The
 cache holds at most HOMOLOGY_CACHE_MAX entries: an insert that would pass
 the bound empties it first.
 
+Both sweeps walk a lattice, closing a list of masks under one operation
+(``_closure``), and skip every other subset as a cone.  Hochster's sweep
+visits the unions of generators, the lcm lattice: a restriction to any
+other set has a vertex that no generator inside it covers.  Reisner's
+test visits the intersections of facets, the meet lattice: the link of
+any other face has a vertex common to all the facets through the face.
+
 The sequentially-CM test checks Duval's skeleton criterion with Reisner's
 test, only on the skeleta of facet dimensions and at faces of a facet of
 that dimension, and reads each link off the facets of the Stanley-Reisner
 complex rather than off the skeleton (the proofs are in
-``is_sequentially_cm`` and ``_reisner_cm_pure``).  ``is_cohen_macaulay``
-tests every face.  The sweep runs once per ideal when it can: its verdict
-is memoized by the ambient size and ``_canonical_faces`` of the generators
+``is_sequentially_cm`` and ``_reisner_cm_pure``).  Those facets are the
+complements of the minimal vertex covers of the generators
+(``_sr_facets``), and no other face of the complex is built.
+``is_cohen_macaulay`` runs the same test with its one facet size.  The
+sweep runs once per ideal when it can: its verdict is memoized by the
+ambient size and ``_canonical_faces`` of the generators
 (``_scm_verdicts``, a verdict memo and no homology cache, bounded and
 emptied like the cache), without the field when every link homology the
-sweep consulted was certified.  Those ranks hold over every GF(p), cones
-and connectivity hold over every field, and the sweep's path depends on
+sweep consulted was certified.  Those ranks hold over every GF(p),
+connectivity holds over every field, and the sweep's path depends on
 nothing else, so one verdict answers every field.  Otherwise the field is
 part of the key, as for the projective plane.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 from .bits import bit_index, iter_bits, submasks, to_mask
 from .errors import BoundExceededError, CheckFailedError
@@ -334,7 +341,7 @@ def _quotient_faces(kind: str, masks) -> set[int]:
     for m in masks:
         union |= m
     if not union:
-        return set(masks) if kind == FACETS else _enumerate_faces(0, masks)
+        return set(masks) if kind == FACETS else _enumerate_faces(0, masks, 0)
     # v has the highest score, minus the number of masks through it for
     # NON_FACES and the sum of 2^|G| over them for FACETS; ties go low
     best = None
@@ -411,7 +418,7 @@ def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:
     return dict(_cached_homology(FACETS, _canonical_faces(_facet_masks(cx)), field.p))
 
 
-def _enumerate_faces(universe_mask: int, gen_masks, start: int = 0) -> set[int]:
+def _enumerate_faces(universe_mask: int, gen_masks, start: int) -> set[int]:
     """Subsets of the universe that contain ``start`` (itself a subset of
     the universe) and no generator support; none when ``start`` contains
     one.  A candidate is checked only against the generators through the
@@ -447,21 +454,31 @@ def _generator_masks(ideal: SquarefreeIdeal, max_n: int, bound_name: str) -> tup
     return universe, [to_mask(g, idx) for g in ideal.gens]
 
 
-def _maximal_faces(faces: set[int], n: int) -> list[int]:
-    """Facets of the complex whose faces, masks over bits 0..n-1, are
-    given: the faces with no one-vertex extension among them."""
-    return [
-        m for m in faces
-        if not any((m | 1 << b) in faces for b in range(n) if not m >> b & 1)
-    ]
+def _sr_facets(n: int, gens: list[int]) -> list[int]:
+    """Facets of the Stanley-Reisner complex of the generator masks over
+    bits 0..n-1: the complements of the minimal vertex covers of the
+    generators (a face is a set containing no generator, so a facet is the
+    complement of a minimal set that meets every generator).  The covers
+    are grown one generator g at a time (Berge): a cover that meets g
+    stays, one that misses it gains each vertex of g in turn, and a grown
+    cover that contains a kept one is dropped.  The grown covers contain
+    neither each other nor a kept cover otherwise, since the old covers
+    are minimal.  No generators leave the one empty cover, so D is the
+    simplex; the empty generator (the unit ideal) leaves none, so D is
+    void."""
+    covers = [0]
+    for g in gens:
+        kept = [c for c in covers if c & g]
+        grown = {c | 1 << b for c in covers if not c & g for b in iter_bits(g)}
+        covers = kept + [c for c in grown if not any(k & c == k for k in kept)]
+    return [((1 << n) - 1) ^ c for c in covers]
 
 
 def stanley_reisner_complex(ideal: SquarefreeIdeal, max_n: int = DEFAULT_SR_MAX_N) -> Complex:
     """Faces are the subsets of the ambient universe containing no
     generator's support; returned in facet representation."""
     universe, gens = _generator_masks(ideal, max_n, "Stanley-Reisner bound")
-    n = len(universe)
-    facets = _maximal_faces(_enumerate_faces((1 << n) - 1, gens), n)
+    facets = _sr_facets(len(universe), gens)
     return Complex(
         ideal.ambient, frozenset(frozenset(universe[b] for b in iter_bits(m)) for m in facets)
     )
@@ -538,17 +555,18 @@ def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def _generator_unions(gens: list[int]) -> set[int]:
-    """The unions of nonempty sets of generator masks, the points of the
-    lcm lattice above its bottom: the closure of the generators under ``|``,
-    reached breadth first."""
-    seen = set(gens)
+def _closure(seeds, gens: list[int], op) -> set[int]:
+    """The seeds combined by ``op`` with any number of the gens, reached
+    breadth first.  ``_closure(gens, gens, or_)`` is the lcm lattice of
+    the generators above its bottom; under ``and_`` it gives the
+    intersections of a seed with any of the gens."""
+    seen = set(seeds)
     frontier = list(seen)
     while frontier:
         reached = []
         for Y in frontier:
             for g in gens:
-                u = Y | g
+                u = op(Y, g)
                 if u not in seen:
                     seen.add(u)
                     reached.append(u)
@@ -564,7 +582,7 @@ def betti_tables_hochster(
     """Hochster's formula, evaluated for several fields in one sweep.
 
     Only subsets Y that are unions of generators are visited
-    (``_generator_unions``, Gasharov-Peeva-Welker 1999): any other Y has a
+    (``_closure`` under ``|``, Gasharov-Peeva-Welker 1999): any other Y has a
     vertex that no generator inside Y covers, so its restriction is a cone
     and adds nothing.  The restriction to Y splits as a join over the
     connected pieces of its generators, the islands, so homology is
@@ -583,7 +601,7 @@ def betti_tables_hochster(
             tables[f].entries[(0, 0)] = 1
         return tables
 
-    for Y in sorted(_generator_unions(gens)):
+    for Y in sorted(_closure(gens, gens, or_)):
         keys = [
             _canonical_faces(members)
             for _, members in hypergraph_components([g for g in gens if g & Y == g])
@@ -637,28 +655,28 @@ def _reisner_cm_pure(facets: list[int], size: int, p: int | None) -> tuple[bool,
     d'-skeleton of lk_{D>=i} s, d' = i - |s|, and a d'-skeleton has the
     complex's reduced homology in every degree below d'.  The test at s,
     H~_j = 0 for j < d', therefore reads the link generated by the faces
-    F - s, F a facet through s with at least i + 1 vertices.  A link whose
-    generating faces share a vertex is a cone and passes; at d' = 1 each
-    generating face has two vertices or more, so the link is connected
+    F - s, F a facet through s with at least i + 1 vertices.  At d' = 1
+    each generating face has two vertices or more, so the link is connected
     when their hypergraph is; at d' <= 0 there is nothing to test.
+
+    Only the intersections of a facet of ``size`` vertices with any of the
+    generating facets are tested (``_closure`` under ``&``, the meet
+    lattice of the facets).  A face s of such a facet that is not the
+    intersection of the generating facets through it has a vertex outside
+    s common to all of them, so its link is a cone and passes; one that
+    is, is that facet met with the others, and is reached.
 
     Returns the verdict and whether it holds over every field: it does when
     every link homology consulted was certified, that is found in
-    ``_homology_cache`` keyed without the field, since cones and
-    connectivity do not depend on the field either."""
-    tested: set[int] = set()
-    for F in facets:
-        if F.bit_count() == size:
-            tested.update(submasks(F))
+    ``_homology_cache`` keyed without the field, since connectivity does
+    not depend on the field either."""
     generating = [F for F in facets if F.bit_count() >= size]
     certified = True
-    for sigma in tested:
+    for sigma in _closure([F for F in generating if F.bit_count() == size], generating, and_):
         link_dim = size - sigma.bit_count() - 1
         if link_dim <= 0:
             continue
         gens = [F ^ sigma for F in generating if F & sigma == sigma]
-        if reduce(and_, gens):
-            continue
         if link_dim == 1:
             if len(hypergraph_components(gens)) > 1:
                 return False, certified
@@ -687,37 +705,39 @@ def is_sequentially_cm(
     every pure i-skeleton D^[i] of the Stanley-Reisner complex D of I must
     be Cohen-Macaulay over the field.
 
-    Only the facet dimensions of D are visited, from the top down, and at
-    dimension i Reisner's test runs only at faces lying in an
-    i-dimensional facet of D.  By the lemma in ``_reisner_cm_pure``, the
-    test at a face s of D^[i] asks that lk_{D>=i} s have no reduced
-    homology below i - |s|.  If s lies in no i-dimensional facet, every
-    facet through s with at least i + 1 vertices has at least i + 2, so
-    lk_{D>=i} s = lk_{D>=i+1} s, which has no homology below i + 1 - |s|
-    once D^[i+1] is Cohen-Macaulay.  So by induction from the top
-    dimension down every untested face passes: at a facet dimension those
-    outside its facets, and at a dimension without facets, or below the
-    smallest facet dimension, every face.  At the top dimension every face
-    is tested, since every top face is a facet.
+    D's facets are read straight off the generators (``_sr_facets``), and
+    no other face of D is built.  Only the facet dimensions of D are
+    visited, from the top down, and at dimension i Reisner's test runs
+    only at faces lying in an i-dimensional facet of D, and there only at
+    intersections of facets (the cone argument in ``_reisner_cm_pure``).
+    By the lemma in ``_reisner_cm_pure``, the test at a face s of D^[i]
+    asks that lk_{D>=i} s have no reduced homology below i - |s|.  If s
+    lies in no i-dimensional facet, every facet through s with at least
+    i + 1 vertices has at least i + 2, so lk_{D>=i} s = lk_{D>=i+1} s,
+    which has no homology below i + 1 - |s| once D^[i+1] is
+    Cohen-Macaulay.  So by induction from the top dimension down every
+    face outside the facets of its dimension passes: at a facet dimension
+    those outside its facets, and at a dimension without facets, or below
+    the smallest facet dimension, every face.  At the top dimension every
+    face lies in a facet, since every top face is one.
 
     One sweep answers every field when every link homology it consulted
-    was certified: those ranks hold over every GF(p), the cone and
-    connectivity tests do not depend on the field, and the sweep's path
-    depends only on them.  Its verdict is then memoized without the field,
-    and otherwise per field (see the module docstring).  The memo is read
+    was certified: those ranks hold over every GF(p), the connectivity
+    test does not depend on the field, and the sweep's path depends only
+    on them.  Its verdict is then memoized without the field, and
+    otherwise per field (see the module docstring).  The memo is read
     after the bound check, so an input over max_n still raises.
     """
     if ideal.is_zero:
         return True
     universe, gens = _generator_masks(ideal, max_n, "bound")
-    n = len(universe)
-    key = (n, _canonical_faces(gens))
+    key = (len(universe), _canonical_faces(gens))
     verdict = _scm_verdicts.get(key)
     if verdict is None:
         verdict = _scm_verdicts.get((*key, field.p))
     if verdict is not None:
         return verdict
-    facets = _maximal_faces(_enumerate_faces((1 << n) - 1, gens), n)
+    facets = _sr_facets(len(universe), gens)
     verdict = every_field = True
     for size in sorted({F.bit_count() for F in facets}, reverse=True):
         verdict, certified = _reisner_cm_pure(facets, size, field.p)

@@ -232,14 +232,28 @@ class TestAraSearch:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(ara, "good_partition_search", counting)
+        path = tmp_path / "line7.tree"
+        path.write_text(format_tree(line(7)))
+        assert main(["ara", str(path), "-t", "2", "--search", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert data["exact"] is True and data["lower"] == data["upper"] == 4
+
+    def test_search_skipped_when_the_inequality_settles_it(self, tmp_path, monkeypatch, capsys):
+        import pathideal.ara as ara
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the nonexistence inequality already holds")
+
+        monkeypatch.setattr(ara, "good_partition_search", refused)
         path = tmp_path / "line10.tree"
         path.write_text(format_tree(line(10)))
         assert main(["ara", str(path), "-t", "3", "--search", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert len(calls) == 1
         assert data["exact"] is False
         assert data["lower"] == 4 and data["upper"] == 8
         assert [len(part) for part in data["partition"]] == [1] * 8
+        assert data["note"] == "line graph with t=3, n=10; only the singleton partition available"
 
 
 class TestExitCodes:

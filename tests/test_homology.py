@@ -4,7 +4,9 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -211,11 +213,11 @@ class TestHochster:
         lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=9))))
     def test_generator_unions_are_the_swept_subsets(self, case):
         n, gens = case
-        assert homology._generator_unions(gens) == hochster_subsets_by_scan(gens, n)
+        assert homology._closure(gens, gens, or_) == hochster_subsets_by_scan(gens, n)
 
     @pytest.mark.parametrize("gens, expected", [([], set()), ([0], {0})], ids=["zero", "unit"])
     def test_generator_unions_of_the_zero_and_unit_ideals(self, gens, expected):
-        assert homology._generator_unions(gens) == hochster_subsets_by_scan(gens, 3) == expected
+        assert homology._closure(gens, gens, or_) == hochster_subsets_by_scan(gens, 3) == expected
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -667,8 +669,44 @@ def test_enumerate_faces_is_a_filter_of_the_supersets(universe, gens, start):
         if s | universe == universe and s & start == start and not any(g & s == g for g in gens)
     }
     assert homology._enumerate_faces(universe, gens, start) == expected
-    if not start:
-        assert homology._enumerate_faces(universe, gens) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 255), max_size=4), st.lists(st.integers(0, 255), max_size=6),
+       st.sampled_from([or_, and_]))
+@example([], [], or_)
+@example([0b101], [], and_)
+@example([0b111, 0b110], [0b011, 0b101, 0b110], and_)
+def test_closure_combines_each_seed_with_every_subset_of_the_gens(seeds, gens, op):
+    expected = {
+        reduce(op, chosen, seed)
+        for seed in seeds
+        for size in range(len(gens) + 1)
+        for chosen in combinations(gens, size)
+    }
+    assert homology._closure(seeds, gens, op) == expected
+
+
+def _sr_facets_by_scan(n, gens):
+    """The maximal subsets of bits 0..n-1 that contain no generator."""
+    faces = [s for s in range(1 << n) if not any(g & s == g for g in gens)]
+    return {s for s in faces if not any(s & f == s and s != f for f in faces)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=7))))
+@example((3, []))  # the zero ideal: the simplex
+@example((3, [0]))  # the unit ideal: no facets
+@example((0, []))  # no vertices: the complex {{}}
+@example((6, _masks([{v - 1 for v in g} for g in projective_plane_ideal().gens])))
+def test_sr_facets_are_the_maximal_faces(case):
+    n, gens = case
+    # the generators of an ideal form an antichain
+    gens = [g for g in gens if not any(h & g == h and h != g for h in gens)]
+    facets = homology._sr_facets(n, gens)
+    assert len(facets) == len(set(facets))
+    assert set(facets) == _sr_facets_by_scan(n, gens)
 
 
 HOLLOW_TETRAHEDRON = [set(f) for f in combinations(range(4), 3)]
@@ -872,15 +910,15 @@ class TestSequentialCMVerdicts:
 
     @pytest.fixture
     def enumerated(self, monkeypatch):
-        """The arguments of every later _enumerate_faces call; each sweep makes one."""
+        """The arguments of every later _sr_facets call; each sweep makes one."""
         calls = []
-        enumerate_faces = homology._enumerate_faces
+        sr_facets = homology._sr_facets
 
         def watched(*args):
             calls.append(args)
-            return enumerate_faces(*args)
+            return sr_facets(*args)
 
-        monkeypatch.setattr(homology, "_enumerate_faces", watched)
+        monkeypatch.setattr(homology, "_sr_facets", watched)
         return calls
 
     def test_second_field_repeats_nothing(self, enumerated):

@@ -17,13 +17,12 @@ def to_mask(subset: Iterable[int], index: dict[int, int]) -> int:
 
 
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions in increasing order."""
-    pos = 0
+    """Yield set bit positions in increasing order, one step per set bit:
+    ``mask & -mask`` isolates the lowest one."""
     while mask:
-        if mask & 1:
-            yield pos
-        mask >>= 1
-        pos += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def submasks(mask: int) -> Iterator[int]:

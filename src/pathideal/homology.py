@@ -43,7 +43,11 @@ each d_k only on the k-faces that were not pivot rows of d_{k+1}, which
 leaves every rank as it is (the clearing lemma in ``linalg``; it needs
 only d o d = 0, which the quotient keeps).  The quotient's matrices are
 submatrices of +-1 boundary matrices, so the certificate of ``linalg``
-holds for them too.
+holds for them too.  Most complexes here have a handful of faces, so the
+kernel (``_homology_from_faces``) keeps its fixed cost low: one pass
+buckets the faces by size, each boundary column takes one step per vertex
+of its face (``_boundary_columns``), and the ranks sit in a list indexed
+by face size.
 
 Subset sums, island homology, and Cohen-Macaulay link checks are pure and
 order-independent.  One module-level cache serves all of them: it is keyed
@@ -193,70 +197,89 @@ def _homology_from_faces(faces, p: int | None = None) -> tuple[dict[int, int], b
     d o d = 0, which the relative complex keeps.  The d o d = 0 and Euler
     checks run on the set given, the complex that is ranked, and each
     counts once per call, an empty set included."""
-    by_dim: dict[int, list[int]] = {}
+    # levels[s]: the faces with s vertices (dimension s - 1), sorted, and
+    # cols[s]: the boundary of each as (row among levels[s - 1], sign)
+    levels: list[list[int]] = []
     for m in faces:
-        by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    top = max(by_dim, default=-1)
-    by_dim = {k: sorted(by_dim.get(k, ())) for k in range(-1, top + 1)}
-    index = {k: {m: i for i, m in enumerate(ms)} for k, ms in by_dim.items()}
+        s = m.bit_count()
+        while len(levels) <= s:
+            levels.append([])
+        levels[s].append(m)
+    cols: list[list[list[tuple[int, int]]]] = [[]]
+    index: dict[int, int] = {}
+    for s, ms in enumerate(levels):
+        ms.sort()
+        if s:
+            cols.append(_boundary_columns(ms, index))
+        index = {m: i for i, m in enumerate(ms)}
 
-    # column lists: for each k-face, its boundary as (row in dim k-1, sign),
-    # without the rows that are not in the set
-    cols: dict[int, list[list[tuple[int, int]]]] = {}
-    for k in range(0, top + 1):
-        prev = index[k - 1]
-        col_list = []
-        for m in by_dim[k]:
-            entries = []
-            sign = 1
-            for b in iter_bits(m):
-                row = prev.get(m ^ (1 << b))
-                if row is not None:
-                    entries.append((row, sign))
-                sign = -sign
-            col_list.append(entries)
-        cols[k] = col_list
-
-    for k in range(1, top + 1):
-        for col in cols[k]:
+    for s in range(2, len(levels)):
+        below = cols[s - 1]
+        for col in cols[s]:
             acc: dict[int, int] = {}
-            for row_j, s in col:
-                for row_i, s2 in cols[k - 1][row_j]:
-                    acc[row_i] = acc.get(row_i, 0) + s * s2
+            for j, sj in col:
+                for i, si in below[j]:
+                    acc[i] = acc.get(i, 0) + sj * si
             if any(acc.values()):
                 raise CheckFailedError("boundary composed with boundary is nonzero")
     assertion_stats["boundary_squared"] += 1
 
-    # top down: the k-faces that were pivot rows of d_{k+1} are cleared
-    # from the columns of d_k, which leaves its rank as it is (see linalg);
-    # a map without entries has rank 0 and is not handed to sparse_rank
-    ranks = {k: 0 for k in range(-1, top + 2)}
+    # top down: the faces that were pivot rows of the map above are cleared
+    # from the columns of the map below, which leaves its rank as it is
+    # (see linalg); a map without entries has rank 0 and is not handed to
+    # sparse_rank.  ranks[s] is the rank of the map on the s-vertex faces
+    ranks = [0] * (len(levels) + 1)
     certified = True
     cleared: set[int] = set()
-    for k in range(top, -1, -1):
-        rows: list[dict[int, int]] = [{} for _ in by_dim[k - 1]]
-        for j, col in enumerate(cols[k]):
+    for s in range(len(levels) - 1, 0, -1):
+        rows: list[dict[int, int]] = [{} for _ in levels[s - 1]]
+        for j, col in enumerate(cols[s]):
             if j in cleared:
                 continue
-            for i, s in col:
-                rows[i][j] = s
+            for i, sign in col:
+                rows[i][j] = sign
         cleared = set()
         if any(rows):
-            ranks[k], rank_certified = sparse_rank(rows, p, cleared)
+            ranks[s], rank_certified = sparse_rank(rows, p, cleared)
             certified = certified and rank_certified
-
-    counts = {k: len(ms) for k, ms in by_dim.items()}
-    dims = {k: counts[k] - ranks[k] - ranks[k + 1] for k in counts}
 
     # dims come from the same counts and ranks, whose terms cancel in the
     # alternating sum, so this cannot fail; it stays as a counted guard
     # against a future change to how dims are derived
-    euler_h = sum(_sign(k) * d for k, d in dims.items())
-    euler_f = sum(_sign(k) * c for k, c in counts.items())
+    dims: dict[int, int] = {}
+    euler_h = euler_f = 0
+    for s, ms in enumerate(levels):
+        d = len(ms) - ranks[s] - ranks[s + 1]
+        euler_h += _sign(s - 1) * d
+        euler_f += _sign(s - 1) * len(ms)
+        if d:
+            dims[s - 1] = d
     if euler_h != euler_f:
         raise CheckFailedError("Euler characteristic mismatch")
     assertion_stats["euler"] += 1
-    return {k: d for k, d in dims.items() if d}, certified
+    return dims, certified
+
+
+def _boundary_columns(faces: list[int], rows: dict[int, int]) -> list[list[tuple[int, int]]]:
+    """The boundary of each face mask in ``faces``, as (row, sign) pairs:
+    removing the i-th vertex, lowest first, gives sign (-1)^i and the row
+    ``rows`` maps the smaller face to.  A smaller face that ``rows`` lacks
+    is not in the complex being ranked, and its entry is dropped.  The
+    loop takes one step per vertex (``m & -m`` is the lowest)."""
+    cols = []
+    for m in faces:
+        col = []
+        sign = 1
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = rows.get(m ^ low)
+            if row is not None:
+                col.append((row, sign))
+            sign = -sign
+        cols.append(col)
+    return cols
 
 
 # (kind, relabelled masks) -> reduced homology dims over every field, or
@@ -421,26 +444,23 @@ def reduced_homology_dims(cx: Complex, field: Field = QQ) -> dict[int, int]:
 def _enumerate_faces(universe_mask: int, gen_masks, start: int) -> set[int]:
     """Subsets of the universe that contain ``start`` (itself a subset of
     the universe) and no generator support; none when ``start`` contains
-    one.  A candidate is checked only against the generators through the
-    vertex just added: the face it extends contains no generator, so no
-    other generator can lie in it."""
+    one.  The free vertices are added lowest first, one step each, to
+    every face found so far, so each face is built once.  A candidate is
+    checked only against the generators through the vertex just added:
+    the face it extends contains no generator, so no other generator can
+    lie in it."""
     gens = list(gen_masks)
     if any(g & start == g for g in gens):
         return set()
-    verts = list(iter_bits(universe_mask & ~start))
-    through = [[g for g in gens if g >> b & 1] for b in verts]
-    faces: set[int] = set()
-
-    def extend(mask: int, first: int) -> None:
-        faces.add(mask)
-        for i in range(first, len(verts)):
-            cand = mask | 1 << verts[i]
-            if any(g & cand == g for g in through[i]):
-                continue
-            extend(cand, i + 1)
-
-    extend(start, 0)
-    return faces
+    faces = [start]
+    free = universe_mask & ~start
+    while free:
+        v = free & -free
+        free ^= v
+        # f | v contains a generator g through v exactly when f contains g - v
+        rests = [g ^ v for g in gens if g & v]
+        faces += [f | v for f in faces if not any(r & f == r for r in rests)]
+    return set(faces)
 
 
 def _generator_masks(ideal: SquarefreeIdeal, max_n: int, bound_name: str) -> tuple[list, list[int]]:
@@ -587,7 +607,11 @@ def betti_tables_hochster(
     and adds nothing.  The restriction to Y splits as a join over the
     connected pieces of its generators, the islands, so homology is
     computed per island and convolved.  An island is keyed by
-    _canonical_faces of its generators, as a Reisner link is.
+    _canonical_faces of its generators, as a Reisner link is, and each
+    distinct island's key is built once per call.  When every island of Y
+    that the join consulted was certified, the join holds over every field
+    and is added to every table at once; otherwise each field joins its
+    own homology, as the projective plane's torsion needs.
     """
     _, gens = _generator_masks(
         ideal, DEFAULT_HOCHSTER_MAX_N if max_n is None else max_n, "Hochster bound"
@@ -601,24 +625,45 @@ def betti_tables_hochster(
             tables[f].entries[(0, 0)] = 1
         return tables
 
+    # an island holds every generator inside its vertex union, so the union
+    # names it, and its key is built once per call
+    canon_of: dict[int, tuple] = {}
     for Y in sorted(_closure(gens, gens, or_)):
-        keys = [
-            _canonical_faces(members)
-            for _, members in hypergraph_components([g for g in gens if g & Y == g])
-        ]
+        keys = []
+        for union, members in hypergraph_components([g for g in gens if g & Y == g]):
+            canon = canon_of.get(union)
+            if canon is None:
+                canon = canon_of[union] = _canonical_faces(members)
+            keys.append(canon)
+        j = Y.bit_count()
+        shared = None  # the join, once it is known to hold over every field
         for f in fields:
-            dims = {-1: 1}
-            for k in keys:
-                dims = _join_dims(dims, _cached_homology(NON_FACES, k, f.p))
-                if not dims:
-                    break
-            j = Y.bit_count()
+            dims = shared
+            if dims is None:
+                dims, certified = _island_join(keys, f.p)
+                if certified:
+                    shared = dims
             entries = tables[f].entries
             for deg, d in dims.items():
                 i = j - deg - 2
                 if i >= 0 and d:
                     entries[(i, j)] = entries.get((i, j), 0) + d
     return tables
+
+
+def _island_join(keys: list[tuple], p: int | None) -> tuple[dict[int, int], bool]:
+    """Reduced homology over GF(p), or Q when p is None, of the join of the
+    islands with the given NON_FACES keys, and whether it holds over every
+    field: it does when every island consulted was certified.  The join
+    stops at the first island that leaves it zero."""
+    dims = {-1: 1}
+    certified = True
+    for k in keys:
+        dims = _join_dims(dims, _cached_homology(NON_FACES, k, p))
+        certified = certified and (NON_FACES, k) in _homology_cache
+        if not dims:
+            break
+    return dims, certified
 
 
 def betti_table_hochster(

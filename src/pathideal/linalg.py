@@ -2,6 +2,9 @@
 
 Matrices arrive as sparse rows (dict column -> int).  One sparse
 elimination in column order serves every field and every matrix size.
+Most matrices the homology kernel hands over have a few rows, so the
+elimination keeps its per-column cost to one pass over the rows of the
+column, which picks the pivot (the rule is in ``sparse_rank``).
 Over GF(p) it reduces entries mod p and divides by the pivot.  Over the
 rationals it is fraction-free: it pivots on +-1 entries only (no
 division), gives the columns without one another pass while passes still
@@ -91,14 +94,21 @@ def sparse_rank(
     """
     rationals = p is None
     if rationals:
-        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        # a row without zero entries, the usual one, is copied as it is
+        rows = [
+            row.copy() if 0 not in row.values() else {c: v for c, v in row.items() if v}
+            for row in rows
+        ]
     else:
         rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
 
     col_rows: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for c in row:
-            col_rows.setdefault(c, set()).add(i)
+            if c in col_rows:
+                col_rows[c].add(i)
+            else:
+                col_rows[c] = {i}
 
     rank = 0
     pending = sorted(col_rows)
@@ -107,12 +117,19 @@ def sparse_rank(
         deferred: list[int] = []  # Q-mode columns without a unit entry
         for c in pending:
             rset = col_rows[c]
-            usable = [i for i in rset if rows[i][c] in (1, -1)] if rationals else rset
-            if not usable:
+            # the shortest usable row, the first in set order on a tie
+            r = -1
+            shortest = 0
+            for i in rset:
+                row = rows[i]
+                if rationals and row[c] not in (1, -1):
+                    continue
+                if r < 0 or len(row) < shortest:
+                    r, shortest = i, len(row)
+            if r < 0:
                 if rset:
                     deferred.append(c)
                 continue
-            r = min(usable, key=lambda i: len(rows[i]))
             rank += 1
             if pivot_rows is not None:
                 pivot_rows.add(r)

@@ -356,7 +356,9 @@ def pd_auto(
     not raise NotProperlyConnectedError; an explicit ``method`` runs its
     route first and lets its errors through.  With ``verify`` every
     applicable route runs once and all must agree, and on a tree the
-    recursion is re-checked from every leaf-ending first split."""
+    recursion is re-checked from every leaf-ending first split.  Only
+    ``auto``, ``closed-form`` and ``verify`` can reach the closed form, so
+    only they look for a line order."""
     if method != "auto" and method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     ideal = path_ideal(g, t)
@@ -366,7 +368,7 @@ def pd_auto(
     values: dict[str, int] = {}
     notes: list[str] = []
     trace: list = []
-    line = line_order(ideal)
+    line = line_order(ideal) if verify or method in ("auto", "closed-form") else None
 
     def run(name: str) -> int:
         if name == "closed-form":

@@ -19,18 +19,21 @@ from a scan of all 2^n points, the facets of a face collection from a
 comparison of every pair of faces, the key of a collection of
 generating faces from its definition, vertex by vertex, the faces of a
 complex given by its facets or its minimal non-faces from a scan of
-every subset, and the subsets Hochster's formula sums over from the
-Boolean sweep of all 2^n subsets.
+every subset, the subsets Hochster's formula sums over from the
+Boolean sweep of all 2^n subsets, and the homology kernel, the sparse
+rank and the bit scan from their earlier, plainer loops.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from pathideal.bits import bit_index, to_mask
+from pathideal.errors import CheckFailedError
 from pathideal.homology import is_cohen_macaulay
+from pathideal.linalg import bareiss_rank
 from pathideal.simplicial import Complex, is_pure, make_complex
 from pathideal.trees import Forest, RootedTree, TreeOrForest, component_trees
 
@@ -492,3 +495,190 @@ def hochster_subsets_by_scan(gen_masks, n: int) -> set[int]:
         if inside and covered == Y:
             kept.add(Y)
     return kept
+
+
+# The homology kernel and the sparse rank as they stood before their inner
+# loops were rewritten, kept as references: the same answers, certificates
+# and pivot rows are required of the program.  Copied verbatim but for the
+# names, the program's check counters (not incremented here) and the sign
+# helper; the Bareiss leftover is the program's ``bareiss_rank``.
+
+
+def iter_bits_by_shift(mask: int) -> Iterator[int]:
+    """Yield set bit positions in increasing order."""
+    pos = 0
+    while mask:
+        if mask & 1:
+            yield pos
+        mask >>= 1
+        pos += 1
+
+
+def homology_from_faces_reference(faces, p: int | None = None) -> tuple[dict[int, int], bool]:
+    """Reduced homology dimensions of a complex given as the set of its
+    face bitmasks (closed under subsets; 0 is the empty face), over Q when
+    p is None.  Keys run from -1 to the dimension; zero entries are
+    omitted.  The flag is true when every rank is certified, so the
+    dimensions hold over every field.
+
+    The set may be D - A for a complex D and a subcomplex A of it (A empty
+    gives D itself): it is then the basis of the relative complex
+    C~(D) / C~(A), whose boundary is that of D with the entries on rows in
+    A dropped, and its homology is what is returned.  ``_cached_homology``
+    hands it D minus the closed star of a vertex (``_quotient_faces``),
+    which has the homology of D (the cone lemma in the module docstring).
+    The relative matrices are submatrices of the +-1 boundary matrices, so
+    the certificate of ``linalg`` applies as it is, and clearing needs only
+    d o d = 0, which the relative complex keeps.  The d o d = 0 and Euler
+    checks run on the set given, the complex that is ranked, and each
+    counts once per call, an empty set included."""
+    by_dim: dict[int, list[int]] = {}
+    for m in faces:
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    top = max(by_dim, default=-1)
+    by_dim = {k: sorted(by_dim.get(k, ())) for k in range(-1, top + 1)}
+    index = {k: {m: i for i, m in enumerate(ms)} for k, ms in by_dim.items()}
+
+    # column lists: for each k-face, its boundary as (row in dim k-1, sign),
+    # without the rows that are not in the set
+    cols: dict[int, list[list[tuple[int, int]]]] = {}
+    for k in range(0, top + 1):
+        prev = index[k - 1]
+        col_list = []
+        for m in by_dim[k]:
+            entries = []
+            sign = 1
+            for b in iter_bits_by_shift(m):
+                row = prev.get(m ^ (1 << b))
+                if row is not None:
+                    entries.append((row, sign))
+                sign = -sign
+            col_list.append(entries)
+        cols[k] = col_list
+
+    for k in range(1, top + 1):
+        for col in cols[k]:
+            acc: dict[int, int] = {}
+            for row_j, s in col:
+                for row_i, s2 in cols[k - 1][row_j]:
+                    acc[row_i] = acc.get(row_i, 0) + s * s2
+            if any(acc.values()):
+                raise CheckFailedError("boundary composed with boundary is nonzero")
+
+    # top down: the k-faces that were pivot rows of d_{k+1} are cleared
+    # from the columns of d_k, which leaves its rank as it is (see linalg);
+    # a map without entries has rank 0 and is not handed to sparse_rank
+    ranks = {k: 0 for k in range(-1, top + 2)}
+    certified = True
+    cleared: set[int] = set()
+    for k in range(top, -1, -1):
+        rows: list[dict[int, int]] = [{} for _ in by_dim[k - 1]]
+        for j, col in enumerate(cols[k]):
+            if j in cleared:
+                continue
+            for i, s in col:
+                rows[i][j] = s
+        cleared = set()
+        if any(rows):
+            ranks[k], rank_certified = sparse_rank_reference(rows, p, cleared)
+            certified = certified and rank_certified
+
+    counts = {k: len(ms) for k, ms in by_dim.items()}
+    dims = {k: counts[k] - ranks[k] - ranks[k + 1] for k in counts}
+
+    # dims come from the same counts and ranks, whose terms cancel in the
+    # alternating sum, so this cannot fail; it stays as a counted guard
+    # against a future change to how dims are derived
+    euler_h = sum((-1) ** (k & 1) * d for k, d in dims.items())
+    euler_f = sum((-1) ** (k & 1) * c for k, c in counts.items())
+    if euler_h != euler_f:
+        raise CheckFailedError("Euler characteristic mismatch")
+    return {k: d for k, d in dims.items() if d}, certified
+
+
+def sparse_rank_reference(
+    rows: list[dict[int, int]], p: int | None = None, pivot_rows: set[int] | None = None
+) -> tuple[int, bool]:
+    """(rank, certified) of a sparse integer matrix over GF(p), or over Q
+    when p is None.
+
+    The columns are eliminated in ascending index order, each on its
+    shortest usable row: any nonzero entry over GF(p), a +-1 entry over Q.
+    Over Q a column with no +-1 entry is deferred, and the deferred columns
+    get another pass for as long as the previous pass found a pivot;
+    whatever is left goes to ``bareiss_rank``.  ``certified`` is true only
+    over Q with no such leftover core, and then the rank is the same over
+    every GF(p) (see the module docstring).  The input rows are copied, not
+    changed.
+
+    When ``pivot_rows`` is given, the index of every row that becomes a
+    pivot of the sparse elimination is added to it.  Those rows of the
+    input are linearly independent over the field, and over Q also mod
+    every prime; there are as many as the rank unless a Bareiss core was
+    left, whose rows are not reported.
+    """
+    rationals = p is None
+    if rationals:
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+    else:
+        rows = [{c: v % p for c, v in row.items() if v % p} for row in rows]
+
+    col_rows: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, set()).add(i)
+
+    rank = 0
+    pending = sorted(col_rows)
+    while pending:
+        pass_start = rank
+        deferred: list[int] = []  # Q-mode columns without a unit entry
+        for c in pending:
+            rset = col_rows[c]
+            usable = [i for i in rset if rows[i][c] in (1, -1)] if rationals else rset
+            if not usable:
+                if rset:
+                    deferred.append(c)
+                continue
+            r = min(usable, key=lambda i: len(rows[i]))
+            rank += 1
+            if pivot_rows is not None:
+                pivot_rows.add(r)
+            pivot_row = rows[r]
+            inv = pivot_row[c] if rationals else pow(pivot_row[c], -1, p)  # +-1 over Q
+            for i in list(rset):
+                if i == r:
+                    continue
+                target = rows[i]
+                factor = target[c] * inv
+                if not rationals:
+                    factor %= p
+                for cc, v in pivot_row.items():
+                    cur = target.get(cc, 0)
+                    nv = cur - factor * v
+                    if not rationals:
+                        nv %= p
+                    if nv:
+                        if not cur:
+                            col_rows[cc].add(i)
+                        target[cc] = nv
+                    elif cur:
+                        del target[cc]
+                        col_rows[cc].discard(i)
+            for cc in pivot_row:
+                col_rows[cc].discard(r)
+            rows[r] = {}
+        pending = deferred if rank > pass_start else []
+
+    if not rationals:
+        return rank, False
+    leftovers = [row for row in rows if row]
+    if leftovers:
+        cols = sorted({c for row in leftovers for c in row})
+        cindex = {c: j for j, c in enumerate(cols)}
+        dense = [[0] * len(cols) for _ in leftovers]
+        for i, row in enumerate(leftovers):
+            for c, v in row.items():
+                dense[i][cindex[c]] = v
+        rank += bareiss_rank(dense)
+    return rank, not leftovers

@@ -49,6 +49,7 @@ from oracles import (
     faces_from_facets,
     faces_from_non_faces,
     hochster_subsets_by_scan,
+    homology_from_faces_reference,
     maximal_sets_by_scan,
     sequentially_cm_by_all_skeleta,
     simple_homology,
@@ -218,6 +219,35 @@ class TestHochster:
     @pytest.mark.parametrize("gens, expected", [([], set()), ([0], {0})], ids=["zero", "unit"])
     def test_generator_unions_of_the_zero_and_unit_ideals(self, gens, expected):
         assert homology._closure(gens, gens, or_) == hochster_subsets_by_scan(gens, 3) == expected
+
+    def test_certified_islands_are_looked_up_for_the_first_field_only(self, monkeypatch):
+        # every island of a path ideal is certified, so each lattice point
+        # joins its islands once and adds the result to all four tables;
+        # each distinct island's key is built once per sweep
+        lookups, keyed = [], []
+        cached, key = homology._cached_homology, homology._canonical_faces
+
+        def watched_lookup(kind, canon, p):
+            lookups.append(p)
+            return cached(kind, canon, p)
+
+        def watched_key(masks):
+            keyed.append(frozenset(masks))
+            return key(masks)
+
+        monkeypatch.setattr(homology, "_cached_homology", watched_lookup)
+        monkeypatch.setattr(homology, "_canonical_faces", watched_key)
+        ideal = path_ideal(twelve_vertex_tree(), 3)
+        homology.clear_caches()
+        tables = betti_tables_hochster(ideal, homology.DEFAULT_FIELDS)
+        assert lookups and set(lookups) == {None}
+        assert len(keyed) == len(set(keyed))
+        assert all(t.entries == taylor_betti(ideal, t.field.p) for t in tables.values())
+        # the projective plane's island has torsion, so every field looks up
+        lookups.clear()
+        tables = betti_tables_hochster(projective_plane_ideal(), homology.DEFAULT_FIELDS)
+        assert set(lookups) == {None, 2, 3, 5}
+        assert tables[QQ].entries != tables[gf(2)].entries
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -714,6 +744,31 @@ HOLLOW_TETRAHEDRON = [set(f) for f in combinations(range(4), 3)]
 OCTAHEDRON = [{a, b, c} for a in (0, 1) for b in (2, 3) for c in (4, 5)]
 
 
+class TestKernelMatchesReference:
+    """The homology kernel gives the dimensions and the certificate of the
+    plainer loops it replaced, on whole complexes and on star quotients."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.frozensets(st.integers(0, 7), max_size=5), max_size=7),
+        st.sampled_from((None, 2, 3)),
+    )
+    @example([set(f) for f in projective_plane_complex().facets], 2)  # torsion: not certified
+    @example([set(f) for f in projective_plane_complex().facets], None)
+    @example([], None)  # void
+    @example([set()], 3)  # the complex {empty face}
+    def test_same_dims_and_certificate(self, sets, p):
+        masks = _masks(sets)
+        for faces in (
+            faces_from_facets(masks),
+            faces_from_non_faces(masks),
+            homology._quotient_faces(FACETS, masks),
+            homology._quotient_faces(NON_FACES, masks),
+        ):
+            expected = homology_from_faces_reference(set(faces), p)
+            assert homology._homology_from_faces(set(faces), p) == expected
+
+
 class TestStarQuotient:
     """Homology modulo the star of one vertex: values, certificate,
     hygiene counts, the choice of the vertex and the rows that reach the
@@ -1072,17 +1127,20 @@ class TestChecksSurviveOptimize:
             except CheckFailedError:
                 print("partition check raised")
 
-            # edges on bit 0 list their bits backwards: the triangle's
-            # boundary composed with boundary is then nonzero.  The star
-            # vertex has the largest sum of 2^|facet| over its facets, so
-            # it lies in the tetrahedron and the triangle is ranked
-            plain = homology.iter_bits
+            # edges on bit 0 take their bits backwards, which flips both
+            # signs of their boundary: the triangle's boundary composed
+            # with boundary is then nonzero.  The star vertex has the
+            # largest sum of 2^|facet| over its facets, so it lies in the
+            # tetrahedron and the triangle is ranked
+            plain = homology._boundary_columns
 
-            def skewed(mask):
-                bits = list(plain(mask))
-                return reversed(bits) if mask & 1 and len(bits) == 2 else iter(bits)
+            def skewed(faces, rows):
+                return [
+                    [(row, -sign) for row, sign in col] if m & 1 and m.bit_count() == 2 else col
+                    for m, col in zip(faces, plain(faces, rows))
+                ]
 
-            homology.iter_bits = skewed
+            homology._boundary_columns = skewed
             try:
                 reduced_homology_dims(make_complex([{1, 2, 3}, {4, 5, 6, 7}]))
             except CheckFailedError:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from pathideal.linalg import sparse_rank
 
-from oracles import dense_rank
+from oracles import dense_rank, sparse_rank_reference
 
 FIELDS = (None, 2, 3, 5)
 
@@ -158,3 +158,18 @@ def test_pivot_rows_leave_out_the_bareiss_core():
     pivots = set()
     assert sparse_rank(sparse(FIXED["bareiss_core"]), 5, pivots) == (3, False)
     assert len(pivots) == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(integer_matrices(), integer_matrices(MOSTLY_UNITS)),
+    st.sampled_from(FIELDS),
+    st.booleans(),
+)
+def test_matches_the_reference_elimination(matrix, p, keep_zeros):
+    # the same rank, certificate and pivot rows as the plainer loop it
+    # replaced, on rows that may be empty or hold explicit zero entries
+    rows = [{c: v for c, v in enumerate(row) if v or keep_zeros} for row in matrix]
+    pivots, expected = set(), set()
+    assert sparse_rank(rows, p, pivots) == sparse_rank_reference(rows, p, expected)
+    assert pivots == expected

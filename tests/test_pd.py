@@ -429,6 +429,21 @@ class TestPdAuto:
         with pytest.raises(RuntimeError, match="depends on the split choice"):
             pd_auto(line(8), 3, verify=True)
 
+    def test_line_order_only_where_the_closed_form_can_run(self, monkeypatch):
+        calls = []
+
+        def counting(ideal):
+            calls.append(ideal)
+            return line_order(ideal)
+
+        monkeypatch.setattr(pd, "line_order", counting)
+        for method in ("recursion", "hochster"):
+            assert pd_auto(line(8), 3, method=method).value == 4
+        assert calls == []
+        assert pd_auto(line(8), 3, method="recursion", verify=True).values["closed-form"] == 4
+        assert pd_auto(line(8), 3).method == pd_auto(line(8), 3, method="closed-form").method
+        assert len(calls) == 3
+
     def test_line_order(self):
         assert line_order(path_ideal(line(7), 3)) == (3, list(range(1, 8)))
         assert line_order(path_ideal(twelve_vertex_tree(), 3)) is None

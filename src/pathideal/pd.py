@@ -95,16 +95,35 @@ def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
     return t, order
 
 
+def _split(tree: RootedTree, t: int, piece, chain=None) -> tuple[tuple, set]:
+    """The leaf split rule on ``piece``, a container of vertices of
+    ``tree`` that holds the ancestors of each of its vertices up to its
+    root, as (chain, off path).  The chain is ``chain``, a parent chain of
+    t vertices read from the top, or by default the smallest of the chains
+    above the deepest vertices of the piece.  Its off path is the children
+    of its bottom, the other children of its second-lowest vertex and the
+    parent of its top, each only where it lies in the piece."""
+    if chain is None:
+        levels = tree.levels
+        deepest = max(map(levels.__getitem__, piece))
+        chain = min(chain_above(tree, v, t) for v in piece if levels[v] == deepest)
+    top, second_lowest, bottom = chain[0], chain[-2], chain[-1]
+    off_path = {c for c in tree.children[bottom] if c in piece}
+    off_path.update(c for c in tree.children[second_lowest] if c != bottom and c in piece)
+    if tree.parent.get(top) in piece:
+        off_path.add(tree.parent[top])
+    return chain, off_path
+
+
 def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
     """A generator path ending at a leaf of the tree: the smallest of the
     chains of t vertices above the deepest vertices.  A deepest vertex
     always works since its level is at least t-1."""
     if t < 2:
         raise ValueError("paths need at least two vertices (t >= 2)")
-    deepest = tree.height()
-    if deepest < t - 1:
+    if tree.height() < t - 1:
         raise ValueError("the path ideal is zero; no generator to pick")
-    return min(chain_above(tree, v, t) for v, level in tree.levels.items() if level == deepest)
+    return _split(tree, t, tree.levels)[0]
 
 
 @dataclass(frozen=True)
@@ -153,10 +172,7 @@ def splitting_data(tree: RootedTree, t: int, path: tuple | None = None) -> Split
         tree.parent.get(below) != above for above, below in zip(chain, chain[1:])
     ):
         raise ValueError("the given path is not a generator")
-    top, second_lowest, bottom = chain[0], chain[-2], chain[-1]
-    off_path = set(tree.children[bottom]) | (set(tree.children[second_lowest]) - {bottom})
-    if top in tree.parent:
-        off_path.add(tree.parent[top])
+    _, off_path = _split(tree, t, tree.levels, chain)
     removed = frozenset(off_path) | facet
     return SplittingData(
         path=path,
@@ -181,12 +197,6 @@ def _shape_ids(tree: RootedTree, memo: dict) -> dict[int, int]:
     return ids
 
 
-def _shape_id(tree: RootedTree, memo: dict) -> int:
-    """The rooted shape of the whole tree, from scratch: its root's entry
-    in ``_shape_ids``."""
-    return _shape_ids(tree, memo)[tree.root]
-
-
 @dataclass
 class RecursionStep:
     tree_vertices: tuple
@@ -195,76 +205,79 @@ class RecursionStep:
     removed: tuple
 
 
-def _pieces(piece: RootedTree, ids: dict, forest: Forest, removed, t: int, memo: dict) -> list:
-    """The components of ``forest`` (``piece`` less the vertices in the set
-    ``removed``) with a nonzero path ideal, as (shape id, component, id
-    map) triples, without a walk over the components.
+def _cut(tree: RootedTree, root: int, ids: dict, removed, t: int, memo: dict) -> list[tuple[int, dict]]:
+    """The components with a nonzero path ideal of the piece of ``tree``
+    at ``root`` whose vertices map to their shape ids in ``ids``, less the
+    vertices in the set ``removed``, as (root, id map) pairs sorted by
+    root.
 
-    ``ids`` holds ``_shape_ids`` of ``piece``, and may hold other vertices
-    too.  Deleting vertices changes a subtree only at a surviving ancestor
-    of a removed vertex, so only those are re-interned, in one copy of
-    ``ids`` that every component shares: each removed vertex's walk up
-    re-interns its ancestors bottom-up, from their children left in the
-    forest, and stops at a removed vertex.  A vertex two walks reach is
-    re-interned last by a walk that passed all of its changed children;
-    every other vertex of a split's zone lies below its highest one, so
-    only one walk leaves the zone.  Any other vertex keeps its id: a component hanging below the cut
-    is a whole subtree of ``piece``, so its id is the one ``piece`` gave its
-    root."""
-    parent, children = piece.parent, piece.children
-    patched = dict(ids)
+    Deleting vertices changes a subtree only at a surviving ancestor of a
+    removed vertex, so only those are re-interned, in one copy of ``ids``:
+    each removed vertex's walk up re-interns its ancestors bottom-up, from
+    their children left in the piece, and stops at a removed vertex or
+    above the piece's root.  A vertex two walks reach is re-interned last by a walk
+    that passed all of its changed children.  Every subtree hanging below a
+    removed vertex then leaves the copy as a component of its own, and what
+    stays is the component of the root."""
+    parent, children, levels = tree.parent, tree.children, tree.levels
+    rest = dict(ids)
     for v in removed:
-        patched.pop(v, None)
+        rest.pop(v, None)
     for v in removed:
         u = parent.get(v)
-        while u is not None and u not in removed:
+        while u in rest:
             kids = children[u]
             if len(kids) == 1:  # every vertex on a line: no sort
-                key = () if kids[0] in removed else (patched[kids[0]],)
+                key = (rest[kids[0]],) if kids[0] in rest else ()
             else:
-                key = tuple(sorted([patched[c] for c in kids if c not in removed]))
-            patched[u] = memo.setdefault(key, len(memo))
+                key = tuple(sorted([rest[c] for c in kids if c in rest]))
+            rest[u] = memo.setdefault(key, len(memo))
             u = parent.get(u)
-    return [(patched[c.root], c, patched) for c in forest.components if c.height() >= t - 1]
+    comps = [(c, {}) for v in removed for c in children[v] if c in rest]
+    for c, sub in comps:
+        stack = [c]
+        while stack:
+            u = stack.pop()
+            sub[u] = rest.pop(u)
+            stack.extend(w for w in children[u] if w in rest)
+    if root in rest:
+        comps.append((root, rest))
+    comps = [(r, sub) for r, sub in comps if max(map(levels.__getitem__, sub)) - levels[r] >= t - 1]
+    return sorted(comps, key=lambda comp: comp[0])
 
 
 def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
     """pd(R/I_t) of a piece of a forest that passed pd_recursive's check,
-    by leaf splits at leaf_generator in one loop over a stack of pieces;
-    ``memo`` (one per t) maps shape ids to pd.  Only ``tree`` gets its
-    shape ids from scratch; each piece carries its id map on the stack, and
-    ``_pieces`` patches it above the cut for the pieces split off it.  A
-    piece popped the first time is split once and pushed back, as its id
-    and split alone, under the components of minus_leaf, then of
-    minus_zone, so splits, trace steps and memo hits come in the pre-order
-    of a recursive descent.  Popped again, its sub-pieces are all memoized
-    and its value is
+    by leaf splits in one loop over a stack of pieces; ``memo`` (one per t)
+    maps shape ids to pd.  A piece is a root and a map from its vertices to
+    their shape ids; it holds the ancestors of its vertices up to its root,
+    so children, parents and levels are read from ``tree``'s maps.  Only
+    ``tree`` gets its shape ids from scratch; ``_cut`` derives each
+    sub-piece's from its parent piece's.  A piece popped the first time is
+    split once by ``_split`` and pushed back, as its id and split alone,
+    under the components of minus_leaf, then of minus_zone, so splits,
+    trace steps and memo hits come in the pre-order of a recursive descent.
+    Popped again, its sub-pieces are all memoized and its value is
     max(sum over minus_leaf, sum over minus_zone + off_path_count + 1)."""
     ids = _shape_ids(tree, memo)
     root_key = ids[tree.root]
-    stack: list = [(root_key, tree, ids, None)]
+    stack: list = [(root_key, tree.root, ids, None)]
     while stack:
-        key, piece, ids, split = stack.pop()
+        key, root, ids, split = stack.pop()
         if key in memo:
             continue
         if split is not None:
             leaf, zone, count = split
             memo[key] = max(sum(memo[k] for k in leaf), sum(memo[k] for k in zone) + count + 1)
             continue
-        sd = splitting_data(piece, t)
+        path, off_path = _split(tree, t, ids)
+        removed = off_path.union(path)
         if trace is not None:
-            trace.append(
-                RecursionStep(
-                    tree_vertices=tuple(piece.vertices),
-                    path=sd.path,
-                    off_path=tuple(sorted(sd.off_path)),
-                    removed=tuple(sorted(sd.removed)),
-                )
-            )
-        leaf = _pieces(piece, ids, sd.minus_leaf, {sd.path[-1]}, t, memo)
-        zone = _pieces(piece, ids, sd.minus_zone, sd.removed, t, memo)
-        stack.append((key, None, None, ([k for k, _, _ in leaf], [k for k, _, _ in zone], sd.off_path_count)))
-        stack.extend((k, sub, sub_ids, None) for k, sub, sub_ids in reversed(leaf + zone))
+            trace.append(RecursionStep(tuple(sorted(ids)), path, tuple(sorted(off_path)), tuple(sorted(removed))))
+        leaf = _cut(tree, root, ids, {path[-1]}, t, memo)
+        zone = _cut(tree, root, ids, removed, t, memo)
+        stack.append((key, None, None, ([sub[r] for r, sub in leaf], [sub[r] for r, sub in zone], len(off_path))))
+        stack.extend((sub[r], r, sub, None) for r, sub in reversed(leaf + zone))
     return memo[root_key]
 
 
@@ -286,9 +299,10 @@ def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
     The splits run in ``_pd_tree``'s loop, without Python recursion, and
     one memo serves every component.  Bushy trees split far more often than
     lines: on ``random_tree(7, n)`` at t=2 the trace has 1,982 splits for
-    n = 100, 20,252 for n = 200 and 598,698 for n = 400 (0.13 s, 2.5 s and
-    77 s in-process, Python 3.11, 2-CPU host), and n = 3000 did not finish
-    in 590 s.  Untried: R/I_t of a tree is sequentially Cohen-Macaulay, so
+    n = 100, 20,252 for n = 200 and 598,698 for n = 400 (0.1-0.2 s,
+    1.5-3.5 s and 51-68 s in-process, Python 3.11, shared 2-CPU host); the
+    count grows more than tenfold per doubling of n, so n = 3000 is out of
+    reach.  Untried: R/I_t of a tree is sequentially Cohen-Macaulay, so
     pd equals the big height (the largest minimal vertex cover of the
     generators), which a dynamic program over the tree could compute, as
     ``edge_pd_forest`` in ``bench/checks.py`` does for t=2."""

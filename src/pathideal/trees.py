@@ -244,46 +244,23 @@ def delete_vertices(g: TreeOrForest, remove: Iterable[int]) -> Forest:
     Components come sorted by root; children tuples stay sorted with the
     deleted vertices left out, and levels count from the new root.
 
-    Only what changed is walked in Python.  A tree none of whose vertices
-    is removed is kept as it is.  Otherwise the component of its root is
-    its ``parent``/``children``/``levels`` maps copied whole, less the
-    removed vertices and everything below them, with a new children tuple
-    at each surviving parent of a removed vertex; its levels are unchanged.
-    The subtrees hanging below removed vertices are the only ones walked:
-    each becomes a component with levels counted from its new root.  The
+    Each component is one walk down from its root: the tree's root unless
+    it is removed, and every surviving child of a removed vertex.  The
     input's maps are never changed."""
     gone = set(remove)
     comps = []
     for tree in component_trees(g):
-        cut = [v for v in gone if v in tree.levels]
-        if not cut:
-            comps.append(tree)
-            continue
-        dropped = list(cut)
-        for v in cut:
-            for r in tree.children[v]:
-                if r in gone:
-                    continue
-                parent, children, levels, stack = {}, {}, {r: 0}, [r]
-                while stack:
-                    u = stack.pop()
-                    kids = tree.children[u]
-                    children[u] = kids if gone.isdisjoint(kids) else tuple(c for c in kids if c not in gone)
-                    for c in children[u]:
-                        parent[c], levels[c] = u, levels[u] + 1
-                    stack.extend(children[u])
-                dropped.extend(levels)
-                comps.append(RootedTree(r, parent, children, levels, tuple(sorted(levels))))
-        if tree.root in gone:
-            continue
-        parent, children, levels = dict(tree.parent), dict(tree.children), dict(tree.levels)
-        for v in dropped:
-            del parent[v], children[v], levels[v]
-        for v in cut:
-            above = tree.parent[v]
-            if above in levels:
-                children[above] = tuple(c for c in tree.children[above] if c not in gone)
-        vertices = tuple(sorted(levels))
-        comps.append(RootedTree(tree.root, parent, children, levels, vertices))
+        roots = [c for v in gone if v in tree.levels for c in tree.children[v] if c not in gone]
+        if tree.root not in gone:
+            roots.append(tree.root)
+        for r in roots:
+            parent, children, levels, stack = {}, {}, {r: 0}, [r]
+            while stack:
+                u = stack.pop()
+                children[u] = tuple(c for c in tree.children[u] if c not in gone)
+                for c in children[u]:
+                    parent[c], levels[c] = u, levels[u] + 1
+                stack.extend(children[u])
+            comps.append(RootedTree(r, parent, children, levels, tuple(sorted(levels))))
     comps.sort(key=lambda c: c.root)
     return Forest(tuple(comps))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from oracles import ahu_nested_key, pd_trace_by_rebuild
+from oracles import ahu_nested_key, delete_vertices_by_rebuild, pd_trace_by_rebuild
 from pathideal import (
     NotProperlyConnectedError,
     leaf_generator,
@@ -20,7 +20,7 @@ from pathideal import (
     gf,
 )
 from pathideal import pd
-from pathideal.corpus import line, random_tree, reroot, twelve_vertex_tree
+from pathideal.corpus import corpus_trees, line, random_tree, reroot, twelve_vertex_tree
 from pathideal.pd import line_order
 from pathideal.simplicial import facet_complex, is_properly_connected
 from pathideal.trees import Forest, RootedTree, component_trees, delete_vertices, enumerate_paths
@@ -30,14 +30,18 @@ def shifted(tree, by):
     return RootedTree.from_edges(((u + by, v + by) for u, v in tree.edges()), root=tree.root + by)
 
 
+def relabelled(tree, rng):
+    """``tree`` under random ids, gapped so that the id order says nothing
+    about the shape."""
+    label = dict(zip(tree.vertices, rng.sample(range(1, 4 * tree.n), tree.n)))
+    return RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
+
+
 def relabelled_trees(count, seed):
-    """``random_tree`` shapes on 2..60 vertices under random ids, gapped so
-    that the id order says nothing about the shape."""
+    """``random_tree`` shapes on 2..60 vertices, relabelled."""
     rng = random.Random(seed)
     for k in range(count):
-        tree = random_tree(seed + k, 2 + (13 * k) % 59)
-        label = dict(zip(tree.vertices, rng.sample(range(1, 4 * tree.n), tree.n)))
-        yield RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
+        yield relabelled(random_tree(seed + k, 2 + (13 * k) % 59), rng)
 
 
 class TestClosedForm:
@@ -223,6 +227,32 @@ class TestRecursion:
         pd_recursive(delete_vertices(line(20), {7}), 3)
         assert len(calls) == 2
 
+    def test_pieces_are_cut_without_building_forests(self, monkeypatch):
+        """The recursion cuts its pieces as id maps over the input tree, so
+        it answers with ``delete_vertices`` out of reach."""
+
+        def refuse(g, remove):
+            raise AssertionError("the recursion built a forest")
+
+        answered = 0
+        expected = {}
+        for name, tree in corpus_trees():
+            for t in (2, 3, 4):
+                try:
+                    expected[name, t] = pd_trace_by_rebuild(tree, t)[0]
+                except ValueError:
+                    pass
+        monkeypatch.setattr(pd, "delete_vertices", refuse)
+        for n in range(2, 40):
+            for t in (2, 3, 4):
+                assert pd_recursive(line(n), t) == pd_line_closed_form(n, t)
+        for name, tree in corpus_trees():
+            for t in (2, 3, 4):
+                if (name, t) in expected:
+                    assert pd_recursive(tree, t) == expected[name, t], (name, t)
+                    answered += 1
+        assert answered > 60
+
     def test_forest_fails_before_any_split(self):
         forest = Forest((line(6), shifted(twelve_vertex_tree(), 100)))
         trace = []
@@ -264,6 +294,24 @@ class TestRecursionOracle:
                     refused += 1
         assert checked > 60 and refused > 20
 
+    def test_forests(self):
+        """Random and rerooted trees less one to three vertices."""
+        rng = random.Random(29)
+        checked = forests = 0
+        for seed in range(150):
+            tree = random_tree(seed, rng.randint(4, 30))
+            g = reroot(tree, rng.choice(tree.vertices)) if seed % 2 else tree
+            g = delete_vertices_by_rebuild(g, rng.sample(g.vertices, rng.randint(1, 3)))
+            forests += len(g.components) > 1
+            for t in (2, 3, 4):
+                checked += self.agrees(g, t)
+        assert forests > 80 and checked > 150
+
+    def test_the_benchmark_bushy_shapes(self):
+        rng = random.Random(41)
+        for seed, n in ((4000, 40), (5002, 50), (6001, 60)):
+            assert self.agrees(relabelled(random_tree(seed, n), rng), 2)
+
 
 class TestShapeIds:
     def test_ids_agree_with_the_nested_encoding(self):
@@ -279,7 +327,7 @@ class TestShapeIds:
             relabelled = RootedTree.from_edges(((label[u], label[v]) for u, v in tree.edges()), root=label[tree.root])
             trees += [tree, relabelled, reroot(tree, rng.choice(tree.vertices))]
         memo: dict = {}
-        ids = [pd._shape_id(tree, memo) for tree in trees]
+        ids = [pd._shape_ids(tree, memo)[tree.root] for tree in trees]
         codes = [ahu_nested_key(tree) for tree in trees]
         for i in range(len(trees)):
             for j in range(len(trees)):
@@ -287,22 +335,25 @@ class TestShapeIds:
         assert len(set(codes)) < len(trees) // 2
 
     def test_every_piece_gets_its_from_scratch_id(self, monkeypatch):
-        """Each piece the recursion pushes carries, for every vertex, the id
-        that ``_shape_ids`` interns from scratch in the same table."""
-        real = pd._pieces
+        """Each piece ``_cut`` returns maps exactly the vertices of the same
+        piece rebuilt by ``delete_vertices_by_rebuild``, each to the id that
+        ``_shape_ids`` interns from scratch in the same table."""
+        real = pd._cut
         pieces = 0
 
-        def checked(piece, ids, forest, removed, t, memo):
+        def checked(tree, root, ids, removed, t, memo):
             nonlocal pieces
-            out = real(piece, ids, forest, removed, t, memo)
-            for key, sub, sub_ids in out:
-                fresh = pd._shape_ids(sub, memo)
-                assert key == pd._shape_id(sub, memo) == fresh[sub.root]
-                assert all(sub_ids[v] == fresh[v] for v in sub.vertices)
+            out = real(tree, root, ids, removed, t, memo)
+            gone = (set(tree.vertices) - ids.keys()) | removed
+            rebuilt = delete_vertices_by_rebuild(tree, gone).components
+            rebuilt = [c for c in rebuilt if c.root in ids and c.height() >= t - 1]
+            assert [r for r, _ in out] == [c.root for c in rebuilt]
+            for (_, sub), c in zip(out, rebuilt):
+                assert sub == pd._shape_ids(c, memo)
                 pieces += 1
             return out
 
-        monkeypatch.setattr(pd, "_pieces", checked)
+        monkeypatch.setattr(pd, "_cut", checked)
         trees = [line(n) for n in range(2, 41)] + list(relabelled_trees(40, 2300))
         for tree in trees:
             for t in (2, 3, 4):

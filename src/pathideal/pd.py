@@ -246,7 +246,7 @@ def _cut(tree: RootedTree, root: int, ids: dict, removed, t: int, memo: dict) ->
     return sorted(comps, key=lambda comp: comp[0])
 
 
-def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
+def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, chain: tuple | None = None) -> int:
     """pd(R/I_t) of a piece of a forest that passed pd_recursive's check,
     by leaf splits in one loop over a stack of pieces; ``memo`` (one per t)
     maps shape ids to pd.  A piece is a root and a map from its vertices to
@@ -258,9 +258,15 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
     under the components of minus_leaf, then of minus_zone, so splits,
     trace steps and memo hits come in the pre-order of a recursive descent.
     Popped again, its sub-pieces are all memoized and its value is
-    max(sum over minus_leaf, sum over minus_zone + off_path_count + 1)."""
+    max(sum over minus_leaf, sum over minus_zone + off_path_count + 1).
+
+    A prescribed ``chain``, a generator read from the top that ends at a
+    leaf, is the first split.  The root's value then depends on that
+    choice, so it is filed under a fresh key and dropped at the end: a
+    value under the root's shape id would answer later calls that
+    prescribe another chain."""
     ids = _shape_ids(tree, memo)
-    root_key = ids[tree.root]
+    root_key = ids[tree.root] if chain is None else object()
     stack: list = [(root_key, tree.root, ids, None)]
     while stack:
         key, root, ids, split = stack.pop()
@@ -270,7 +276,7 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
             leaf, zone, count = split
             memo[key] = max(sum(memo[k] for k in leaf), sum(memo[k] for k in zone) + count + 1)
             continue
-        path, off_path = _split(tree, t, ids)
+        path, off_path = _split(tree, t, ids, chain if key is root_key else None)
         removed = off_path.union(path)
         if trace is not None:
             trace.append(RecursionStep(tuple(sorted(ids)), path, tuple(sorted(off_path)), tuple(sorted(removed))))
@@ -278,7 +284,7 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None) -> int:
         zone = _cut(tree, root, ids, removed, t, memo)
         stack.append((key, None, None, ([sub[r] for r, sub in leaf], [sub[r] for r, sub in zone], len(off_path))))
         stack.extend((sub[r], r, sub, None) for r, sub in reversed(leaf + zone))
-    return memo[root_key]
+    return memo[root_key] if chain is None else memo.pop(root_key)
 
 
 def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
@@ -370,7 +376,8 @@ def pd_auto(
     not raise NotProperlyConnectedError; an explicit ``method`` runs its
     route first and lets its errors through.  With ``verify`` every
     applicable route runs once and all must agree, and on a tree the
-    recursion is re-checked from every leaf-ending first split.  Only
+    recursion is re-checked from every leaf-ending first split, each cut
+    by ``_pd_tree``'s own loop into the pieces the recursion uses.  Only
     ``auto``, ``closed-form`` and ``verify`` can reach the closed form, so
     only they look for a line order."""
     if method != "auto" and method not in METHODS:
@@ -420,12 +427,7 @@ def pd_auto(
             for alt in enumerate_paths(tree, t):
                 if tree.degree(alt[-1]) != 1:
                     continue
-                sd = splitting_data(tree, t, alt)
-                leaf, zone = (
-                    sum(_pd_tree(piece, t, memo, None) for piece in forest.components if piece.height() >= t - 1)
-                    for forest in (sd.minus_leaf, sd.minus_zone)
-                )
-                alt_value = max(leaf, zone + sd.off_path_count + 1)
+                alt_value = _pd_tree(tree, t, memo, None, alt)
                 if alt_value != values["recursion"]:
                     raise RuntimeError(
                         f"recursion value depends on the split choice: {alt} gives {alt_value}"

@@ -107,19 +107,15 @@ class TestBettiPd:
         assert "per_method: {'hochster': 4, 'closed-form': 4, 'recursion': 4}" in capsys.readouterr().out
 
     def test_pd_verify_catches_a_wrong_first_split(self, line8_file, monkeypatch, capsys):
-        import dataclasses
-
         from pathideal import pd
 
-        real = pd.splitting_data
+        real = pd._split
 
-        def one_more_off_path(tree, t, path=None):
-            sd = real(tree, t, path)
-            if path is None:
-                return sd
-            return dataclasses.replace(sd, off_path=sd.off_path | {max(tree.vertices) + 1})
+        def no_off_path(tree, t, piece, chain=None):
+            path, off_path = real(tree, t, piece, chain)
+            return (path, set()) if chain is not None else (path, off_path)
 
-        monkeypatch.setattr(pd, "splitting_data", one_more_off_path)
+        monkeypatch.setattr(pd, "_split", no_off_path)
         assert main(["pd", line8_file, "-t", "3", "--verify"]) == 1
         assert "depends on the split choice" in capsys.readouterr().err
 

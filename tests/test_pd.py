@@ -465,20 +465,57 @@ class TestPdAuto:
         assert len(calls) == 1
 
     def test_verify_catches_a_wrong_first_split(self, monkeypatch):
-        """A prescribed first split that counts one off-path vertex too many
-        gives another value, and verify must say so."""
-        real = pd.splitting_data
+        """A prescribed first split that drops its off-path vertices gives
+        another value, and verify must say so."""
+        real = pd._split
 
-        def one_more_off_path(tree, t, path=None):
-            sd = real(tree, t, path)
-            if path is None:
-                return sd
-            return dataclasses.replace(sd, off_path=sd.off_path | {max(tree.vertices) + 1})
+        def no_off_path(tree, t, piece, chain=None):
+            path, off_path = real(tree, t, piece, chain)
+            return (path, set()) if chain is not None else (path, off_path)
 
-        monkeypatch.setattr(pd, "splitting_data", one_more_off_path)
+        monkeypatch.setattr(pd, "_split", no_off_path)
         assert pd_auto(line(8), 3).value == 4
         with pytest.raises(RuntimeError, match="depends on the split choice"):
             pd_auto(line(8), 3, verify=True)
+
+    def test_verify_evaluates_every_first_split(self, monkeypatch):
+        """Every leaf-ending first split is evaluated, also after earlier
+        ones left their pieces in the shared memo: a clean run makes all
+        six prescribed splits, and a wrong third split of six is caught."""
+        tree = twelve_vertex_tree()
+        real = pd._split
+        prescribed = []
+        wrong = set()
+
+        def recording(tree, t, piece, chain=None):
+            path, off_path = real(tree, t, piece, chain)
+            if chain is not None:
+                prescribed.append(chain)
+            return (path, set()) if chain in wrong else (path, off_path)
+
+        monkeypatch.setattr(pd, "_split", recording)
+        assert pd_auto(tree, 2, verify=True).value == pd_quotient_hochster(path_ideal(tree, 2))
+        assert prescribed == [(3, 5), (3, 7), (4, 8), (6, 10), (6, 11), (9, 12)]
+        wrong.add((4, 8))
+        with pytest.raises(RuntimeError, match=r"depends on the split choice: \(4, 8\)"):
+            pd_auto(tree, 2, verify=True)
+
+    def test_verify_over_the_corpus_builds_no_forests(self, monkeypatch):
+        """``verify`` re-checks the split choice on the recursion's own
+        pieces, so it answers on every corpus pair with ``delete_vertices``
+        out of reach."""
+
+        def refuse(g, remove):
+            raise AssertionError("verify built a forest")
+
+        monkeypatch.setattr(pd, "delete_vertices", refuse)
+        recursed = 0
+        for name, tree in corpus_trees():
+            for t in (2, 3, 4, 5):
+                report = pd_auto(tree, t, verify=True)
+                assert report.value == pd_quotient_hochster(path_ideal(tree, t)), (name, t)
+                recursed += "recursion" in report.values
+        assert recursed > 100
 
     def test_line_order_only_where_the_closed_form_can_run(self, monkeypatch):
         calls = []

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +135,26 @@ class TestBettiPd:
     def test_pd_explicit_method(self, line8_file, capsys):
         assert main(["pd", line8_file, "-t", "3", "--method", "closed-form"]) == 0
         assert "pd_quotient: 4" in capsys.readouterr().out
+
+
+class TestPdGolden:
+    """The exact standard output of ``pd --method recursion`` and ``pd
+    --verify``, in text and JSON and with the split trace, on line(8) at t=3
+    and twelve_vertex_tree() at t=2, as pinned in ``data/pd_golden.txt``:
+    each block there is a ``$ pd ...`` line and the output that follows it."""
+
+    GOLDEN = Path(__file__).parent / "data" / "pd_golden.txt"
+
+    def test_stdout_is_pinned(self, line8_file, example_file, capsys):
+        files = {"line8.tree": line8_file, "twelve.tree": example_file}
+        blocks = re.split(r"^\$ ", self.GOLDEN.read_text(), flags=re.M)[1:]
+        assert len(blocks) == 8
+        for block in blocks:
+            command, expected = block.split("\n", 1)
+            args = [files.get(a, a) for a in command.split()]
+            assert main(args) == 0, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (expected, ""), command
 
 
 class TestChecks:

@@ -128,10 +128,10 @@ def cmd_pd(args: argparse.Namespace) -> int:
     if report.trace:
         data["trace"] = [
             {
-                "vertices": list(s.tree_vertices),
+                "vertices": sorted(s.vertices),
                 "split_path": list(s.path),
-                "off_path": list(s.off_path),
-                "removed": list(s.removed),
+                "off_path": sorted(s.off_path),
+                "removed": sorted(s.removed),
             }
             for s in report.trace
         ]

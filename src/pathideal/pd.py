@@ -5,23 +5,21 @@
   properly-connected, checked once, since every piece inherits it;
 * the Hochster-table route, which works unconditionally within bounds.
 
-All values refer to pd(R/I) for the quotient.  The recursion on forests
-uses variable-disjoint additivity: pd of a quotient by a sum of ideals in
-disjoint variables is the sum of the component quotient pds (the Koszul
-tensor argument), with components carrying the zero ideal contributing 0.
-Vertex deletion can disconnect a tree, so this forest extension is what
-makes the recursion total; cross-validate it against the Hochster route
-with ``pd_auto(..., verify=True)``.
+All values refer to pd(R/I) for the quotient.  A leaf split deletes
+vertices, which can disconnect the tree, so a piece of the recursion is a
+sum of ideals in disjoint variables, one per component; its pd is the sum
+of the component quotient pds (the Koszul tensor argument), with components
+carrying the zero ideal contributing 0.  ``pd_auto(..., verify=True)``
+cross-validates the recursion against the Hochster route.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
 from .homology import Field, QQ, betti_table_hochster, pd_from_betti
-from .ideals import SquarefreeIdeal, ideal_intersect, ideal_sum
+from .ideals import SquarefreeIdeal, ideal_equals, ideal_intersect, ideal_multiply, ideal_sum, make_ideal
 from .simplicial import _proper_neighbours, facet_complex, is_properly_connected
-from .trees import Forest, RootedTree, TreeOrForest, chain_above, component_trees
-from .trees import delete_vertices, enumerate_paths, path_ideal
+from .trees import RootedTree, chain_above, enumerate_paths, path_ideal
 
 
 class NotProperlyConnectedError(RuntimeError):
@@ -128,20 +126,27 @@ def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SplittingData:
-    """The data of a leaf split at generator path w.
+    """A leaf split of a piece of a tree: the generator ``path`` read from
+    the top, so path[-1] is the leaf, its ``off_path`` and the piece's
+    ``vertices``.
 
     off_path collects, over all facets meeting the path's facet in t-1
     vertices, the vertices outside the path; removed is its union with the
-    facet.  minus_leaf and minus_zone are the forests left after deleting
-    the path's final vertex, respectively the whole removed zone.
+    facet.  The split's pieces are the piece less the leaf, and less the
+    whole removed zone.
     """
 
     path: tuple
-    facet: frozenset
     off_path: frozenset
-    removed: frozenset
-    minus_leaf: Forest
-    minus_zone: Forest
+    vertices: frozenset
+
+    @property
+    def facet(self) -> frozenset:
+        return frozenset(self.path)
+
+    @property
+    def removed(self) -> frozenset:
+        return self.off_path.union(self.path)
 
     @property
     def off_path_count(self) -> int:
@@ -149,39 +154,30 @@ class SplittingData:
 
 
 def splitting_data(tree: RootedTree, t: int, path: tuple | None = None) -> SplittingData:
-    """The leaf split at ``path``, a generator in any vertex order whose
-    last vertex is a leaf (default: leaf_generator).
+    """The leaf split of ``tree`` at ``path``, a generator in any vertex
+    order whose lowest vertex is a leaf (default: leaf_generator).
 
     The path is a generator iff its vertices, sorted by level, form a
-    parent chain p_1 -> ... -> p_t.  Two downward paths meet in a chain,
-    so a t-path sharing t-1 vertices with it is one of three kinds: the
-    shift one step up (through the parent of p_1), a shift one step down
-    (through a child of p_t), or the path ending at a sibling of p_t
-    (another child of p_(t-1)).  Those vertices are off_path."""
-    if path is None:
-        path = leaf_generator(tree, t)
-    path = tuple(path)
-    last = path[-1]
-    if tree.degree(last) != 1:
-        raise ValueError(f"splitting path must end at a leaf; vertex {last} has degree {tree.degree(last)}")
+    parent chain p_1 -> ... -> p_t, and p_t is its leaf.  Two downward
+    paths meet in a chain, so a t-path sharing t-1 vertices with it is one
+    of three kinds: the shift one step up (through the parent of p_1), a
+    shift one step down (through a child of p_t), or the path ending at a
+    sibling of p_t (another child of p_(t-1)).  Those vertices are
+    off_path."""
     if t < 2:
         raise ValueError("paths need at least two vertices (t >= 2)")
+    if path is None:
+        path = leaf_generator(tree, t)
     facet = frozenset(path)
-    chain = sorted(facet, key=lambda v: tree.levels.get(v, -1))
+    chain = tuple(sorted(facet, key=lambda v: tree.levels.get(v, -1)))
     if len(chain) != t or not facet <= tree.levels.keys() or any(
         tree.parent.get(below) != above for above, below in zip(chain, chain[1:])
     ):
         raise ValueError("the given path is not a generator")
+    if tree.children[chain[-1]]:
+        raise ValueError(f"splitting path must end at a leaf; its lowest vertex {chain[-1]} has children")
     _, off_path = _split(tree, t, tree.levels, chain)
-    removed = frozenset(off_path) | facet
-    return SplittingData(
-        path=path,
-        facet=facet,
-        off_path=frozenset(off_path),
-        removed=removed,
-        minus_leaf=delete_vertices(tree, {last}),
-        minus_zone=delete_vertices(tree, removed),
-    )
+    return SplittingData(chain, frozenset(off_path), frozenset(tree.vertices))
 
 
 def _shape_ids(tree: RootedTree, memo: dict) -> dict[int, int]:
@@ -195,14 +191,6 @@ def _shape_ids(tree: RootedTree, memo: dict) -> dict[int, int]:
     for v in sorted(tree.vertices, key=tree.levels.__getitem__, reverse=True):
         ids[v] = memo.setdefault(tuple(sorted(map(ids.__getitem__, tree.children[v]))), len(memo))
     return ids
-
-
-@dataclass
-class RecursionStep:
-    tree_vertices: tuple
-    path: tuple
-    off_path: tuple
-    removed: tuple
 
 
 def _cut(tree: RootedTree, root: int, ids: dict, removed, t: int, memo: dict) -> list[tuple[int, dict]]:
@@ -247,18 +235,19 @@ def _cut(tree: RootedTree, root: int, ids: dict, removed, t: int, memo: dict) ->
 
 
 def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, chain: tuple | None = None) -> int:
-    """pd(R/I_t) of a piece of a forest that passed pd_recursive's check,
-    by leaf splits in one loop over a stack of pieces; ``memo`` (one per t)
-    maps shape ids to pd.  A piece is a root and a map from its vertices to
+    """pd(R/I_t) of a tree that passed pd_recursive's check, by leaf
+    splits in one loop over a stack of pieces; ``memo`` (one per t) maps
+    shape ids to pd.  A piece is a root and a map from its vertices to
     their shape ids; it holds the ancestors of its vertices up to its root,
     so children, parents and levels are read from ``tree``'s maps.  Only
     ``tree`` gets its shape ids from scratch; ``_cut`` derives each
     sub-piece's from its parent piece's.  A piece popped the first time is
     split once by ``_split`` and pushed back, as its id and split alone,
-    under the components of minus_leaf, then of minus_zone, so splits,
-    trace steps and memo hits come in the pre-order of a recursive descent.
-    Popped again, its sub-pieces are all memoized and its value is
-    max(sum over minus_leaf, sum over minus_zone + off_path_count + 1).
+    under the components of the piece less the leaf, then less the removed
+    zone, so splits, trace steps (one SplittingData each) and memo hits come
+    in the pre-order of a recursive descent.  Popped again, its sub-pieces
+    are all memoized and its value is max(sum over the leaf's cut, sum
+    over the zone's cut + off_path_count + 1).
 
     A prescribed ``chain``, a generator read from the top that ends at a
     leaf, is the first split.  The root's value then depends on that
@@ -279,7 +268,7 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, chain: tu
         path, off_path = _split(tree, t, ids, chain if key is root_key else None)
         removed = off_path.union(path)
         if trace is not None:
-            trace.append(RecursionStep(tuple(sorted(ids)), path, tuple(sorted(off_path)), tuple(sorted(removed))))
+            trace.append(SplittingData(path, frozenset(off_path), frozenset(ids)))
         leaf = _cut(tree, root, ids, {path[-1]}, t, memo)
         zone = _cut(tree, root, ids, removed, t, memo)
         stack.append((key, None, None, ([sub[r] for r, sub in leaf], [sub[r] for r, sub in zone], len(off_path))))
@@ -287,14 +276,14 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, chain: tu
     return memo[root_key] if chain is None else memo.pop(root_key)
 
 
-def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
+def pd_recursive(tree: RootedTree, t: int, trace: list | None = None) -> int:
     """pd(R/I_t) by leaf splitting.  Raises NotProperlyConnectedError,
-    before any split, for the first component of ``g`` whose facet complex
-    is not properly-connected; the caller should then fall back to the
-    Hochster route.
+    before any split, when the facet complex of ``tree`` is not
+    properly-connected; the caller should then fall back to the Hochster
+    route.
 
-    The precondition is checked once per component, since every piece of
-    the recursion inherits it.  A proper chain from facet F to facet G of
+    The precondition is checked once, since every piece of the recursion
+    inherits it.  A proper chain from facet F to facet G of
     length exactly t - |F & G| must, at every step, drop a vertex outside G
     and add a vertex of G, so every facet on the chain lies in F | G.  Every
     piece is a vertex-deletion subforest, whose facets are the tree's paths
@@ -303,7 +292,7 @@ def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
     inheritance.
 
     The splits run in ``_pd_tree``'s loop, without Python recursion, and
-    one memo serves every component.  Bushy trees split far more often than
+    one memo serves every piece.  Bushy trees split far more often than
     lines: on ``random_tree(7, n)`` at t=2 the trace has 1,982 splits for
     n = 100, 20,252 for n = 200 and 598,698 for n = 400 (0.1-0.2 s,
     1.5-3.5 s and 51-68 s in-process, Python 3.11, shared 2-CPU host); the
@@ -312,12 +301,10 @@ def pd_recursive(g: TreeOrForest, t: int, trace: list | None = None) -> int:
     pd equals the big height (the largest minimal vertex cover of the
     generators), which a dynamic program over the tree could compute, as
     ``edge_pd_forest`` in ``bench/checks.py`` does for t=2."""
-    for tree in component_trees(g):
-        ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
-        if not ok:
-            raise NotProperlyConnectedError(pair)
-    memo: dict = {}
-    return sum(_pd_tree(c, t, memo, trace) for c in component_trees(g) if c.height() >= t - 1)
+    ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
+    if not ok:
+        raise NotProperlyConnectedError(pair)
+    return _pd_tree(tree, t, {}, trace) if tree.height() >= t - 1 else 0
 
 
 def pd_quotient_hochster(
@@ -351,6 +338,23 @@ def verify_betti_splitting(
     return True
 
 
+def verify_intersection_lemma(ideal: SquarefreeIdeal, sd: SplittingData) -> bool:
+    """Check the intersection lemma that makes the leaf split ``sd`` of a
+    tree T, with ``ideal`` = I_t(T), a Betti splitting:
+    I_t(T - leaf) cap (x_F) = x_F ((x_y : y in off_path) + I_t(T - Z)),
+    where F is the split facet, the leaf its lowest vertex and Z the
+    removed zone.  A path of T - S is a parent chain of T that avoids S,
+    so I_t(T - S) is the ideal of the generators of ``ideal`` that avoid S."""
+    ambient = ideal.ambient
+
+    def avoiding(gone: set) -> SquarefreeIdeal:
+        return make_ideal([g for g in ideal.gens if not g & gone], ambient=ambient)
+
+    left = ideal_intersect(avoiding({sd.path[-1]}), make_ideal([sd.facet], ambient=ambient))
+    inner = ideal_sum(make_ideal([{y} for y in sd.off_path], ambient=ambient), avoiding(sd.removed))
+    return ideal_equals(left, ideal_multiply(sd.facet, inner))
+
+
 METHODS = ("closed-form", "recursion", "hochster")
 
 
@@ -364,7 +368,7 @@ class PdReport:
 
 
 def pd_auto(
-    g: TreeOrForest,
+    tree: RootedTree,
     t: int,
     field: Field = QQ,
     method: str = "auto",
@@ -375,14 +379,14 @@ def pd_auto(
     form only for a line graph).  ``auto`` takes the first route that does
     not raise NotProperlyConnectedError; an explicit ``method`` runs its
     route first and lets its errors through.  With ``verify`` every
-    applicable route runs once and all must agree, and on a tree the
-    recursion is re-checked from every leaf-ending first split, each cut
-    by ``_pd_tree``'s own loop into the pieces the recursion uses.  Only
+    applicable route runs once and all must agree, and the recursion is
+    re-checked from every leaf-ending first split, each cut by
+    ``_pd_tree``'s own loop into the pieces the recursion uses.  Only
     ``auto``, ``closed-form`` and ``verify`` can reach the closed form, so
     only they look for a line order."""
     if method != "auto" and method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    ideal = path_ideal(g, t)
+    ideal = path_ideal(tree, t)
     if ideal.is_zero:
         return PdReport(value=0, method="zero" if method == "auto" else method, values={"zero": 0})
 
@@ -397,7 +401,7 @@ def pd_auto(
                 raise ValueError("closed form applies only to a single line graph")
             return pd_line_closed_form(len(line[1]), t)
         if name == "recursion":
-            return pd_recursive(g, t, trace=trace)
+            return pd_recursive(tree, t, trace=trace)
         return pd_quotient_hochster(ideal, field, max_n)
 
     routes = [name for name in METHODS if line is not None or name != "closed-form"]
@@ -420,12 +424,10 @@ def pd_auto(
         if len(set(values.values())) > 1:
             raise RuntimeError(f"projective-dimension methods disagree: {values}")
         # split at every leaf-ending generator first; the pieces share a memo
-        comps = component_trees(g)
-        if "recursion" in values and len(comps) == 1:
-            tree = comps[0]
+        if "recursion" in values:
             memo: dict = {}
             for alt in enumerate_paths(tree, t):
-                if tree.degree(alt[-1]) != 1:
+                if tree.children[alt[-1]]:
                     continue
                 alt_value = _pd_tree(tree, t, memo, None, alt)
                 if alt_value != values["recursion"]:

@@ -1,4 +1,4 @@
-"""Rooted directed trees, forests, path enumeration, and path ideals.
+"""Rooted directed trees, path enumeration, and path ideals.
 
 Edges point away from the root.  A *path of t vertices* is a chain
 v_1 -> v_2 -> ... -> v_t of parent-to-child edges; note that t counts
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .ideals import SquarefreeIdeal, make_ideal
 
@@ -118,43 +118,6 @@ class RootedTree:
         return tuple(sorted((self.parent[v], v) for v in self.vertices if v != self.root))
 
 
-@dataclass(frozen=True)
-class Forest:
-    components: tuple
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for t in self.components:
-            overlap = seen & set(t.vertices)
-            if overlap:
-                raise TreeError(f"forest components share vertices {sorted(overlap)}")
-            seen.update(t.vertices)
-
-    @property
-    def vertices(self) -> tuple:
-        out: list[int] = []
-        for t in self.components:
-            out.extend(t.vertices)
-        return tuple(sorted(out))
-
-    @property
-    def n(self) -> int:
-        return sum(t.n for t in self.components)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.components
-
-
-TreeOrForest = Union[RootedTree, Forest]
-
-
-def component_trees(g: TreeOrForest) -> tuple[RootedTree, ...]:
-    if isinstance(g, RootedTree):
-        return (g,)
-    return g.components
-
-
 def parse_tree(text: str) -> RootedTree:
     """Parse the line-oriented tree file format.
 
@@ -213,54 +176,16 @@ def chain_above(tree: RootedTree, end: int, t: int) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
-def enumerate_paths(g: TreeOrForest, t: int) -> list[tuple[int, ...]]:
+def enumerate_paths(tree: RootedTree, t: int) -> list[tuple[int, ...]]:
     """All directed downward paths on exactly t vertices, sorted by end
     vertex id.  Each path is the unique chain of t-1 ancestors above a
     vertex of level >= t-1."""
     if t < 2:
         raise ValueError("paths need at least two vertices (t >= 2)")
-    paths = [
-        chain_above(tree, end, t)
-        for tree in component_trees(g)
-        for end in tree.vertices
-        if tree.level(end) >= t - 1
-    ]
-    paths.sort(key=lambda p: (p[-1], p))
-    return paths
+    return [chain_above(tree, end, t) for end in tree.vertices if tree.levels[end] >= t - 1]
 
 
-def path_ideal(g: TreeOrForest, t: int) -> SquarefreeIdeal:
+def path_ideal(tree: RootedTree, t: int) -> SquarefreeIdeal:
     """The ideal minimally generated by the supports of all paths of t
-    vertices, over all components."""
-    ambient = []
-    for tree in component_trees(g):
-        ambient.extend(tree.vertices)
-    return make_ideal((frozenset(p) for p in enumerate_paths(g, t)), ambient=ambient)
-
-
-def delete_vertices(g: TreeOrForest, remove: Iterable[int]) -> Forest:
-    """Remove the given vertices and all incident edges; each surviving
-    component is rooted at its unique vertex without a surviving parent.
-    Components come sorted by root; children tuples stay sorted with the
-    deleted vertices left out, and levels count from the new root.
-
-    Each component is one walk down from its root: the tree's root unless
-    it is removed, and every surviving child of a removed vertex.  The
-    input's maps are never changed."""
-    gone = set(remove)
-    comps = []
-    for tree in component_trees(g):
-        roots = [c for v in gone if v in tree.levels for c in tree.children[v] if c not in gone]
-        if tree.root not in gone:
-            roots.append(tree.root)
-        for r in roots:
-            parent, children, levels, stack = {}, {}, {r: 0}, [r]
-            while stack:
-                u = stack.pop()
-                children[u] = tuple(c for c in tree.children[u] if c not in gone)
-                for c in children[u]:
-                    parent[c], levels[c] = u, levels[u] + 1
-                stack.extend(children[u])
-            comps.append(RootedTree(r, parent, children, levels, tuple(sorted(levels))))
-    comps.sort(key=lambda c: c.root)
-    return Forest(tuple(comps))
+    vertices."""
+    return make_ideal((frozenset(p) for p in enumerate_paths(tree, t)), ambient=tree.vertices)

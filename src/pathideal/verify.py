@@ -32,15 +32,7 @@ from .homology import (
     gf,
     is_sequentially_cm,
 )
-from .ideals import (
-    ideal_equals,
-    ideal_from_json,
-    ideal_intersect,
-    ideal_multiply,
-    ideal_sum,
-    ideal_to_json,
-    make_ideal,
-)
+from .ideals import ideal_from_json, ideal_to_json, make_ideal
 from .pd import (
     NotProperlyConnectedError,
     leaf_generator,
@@ -49,6 +41,7 @@ from .pd import (
     pd_recursive,
     splitting_data,
     verify_betti_splitting,
+    verify_intersection_lemma,
 )
 from .simplicial import (
     facet_complex,
@@ -165,18 +158,7 @@ def run_verification(samples: int = 10, seed: int = 101, max_n: int = 9) -> list
         ok, _ = is_properly_connected(facet_complex(ideal))
         if not ok:
             return
-        sd = splitting_data(tree, t)
-        ambient = ideal.ambient
-        left = ideal_intersect(
-            path_ideal(sd.minus_leaf, t).with_ambient(ambient),
-            make_ideal([sd.facet], ambient=ambient),
-        )
-        inner = ideal_sum(
-            make_ideal([{y} for y in sd.off_path], ambient=ambient),
-            path_ideal(sd.minus_zone, t).with_ambient(ambient),
-        )
-        right = ideal_multiply(sd.facet, inner).with_ambient(ambient)
-        _require(ideal_equals(left, right), name)
+        _require(verify_intersection_lemma(ideal, splitting_data(tree, t)), name)
 
     def c_recursion(name, tree, t, ideal):
         try:

@@ -35,7 +35,7 @@ from pathideal.errors import CheckFailedError
 from pathideal.homology import is_cohen_macaulay
 from pathideal.linalg import bareiss_rank
 from pathideal.simplicial import Complex, is_pure, make_complex
-from pathideal.trees import Forest, RootedTree, TreeOrForest, component_trees
+from pathideal.trees import RootedTree
 
 
 def dense_rank(matrix, p=None):
@@ -279,23 +279,23 @@ def properly_connected_by_scan(cx: Complex) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def delete_vertices_by_rebuild(g: TreeOrForest, remove: Iterable[int]) -> Forest:
-    """Remove the given vertices and all incident edges; each surviving
-    component is rooted at its unique vertex without a surviving parent."""
+def delete_vertices_by_rebuild(tree: RootedTree, remove: Iterable[int]) -> tuple[RootedTree, ...]:
+    """Remove the given vertices and all incident edges, as the tuple of
+    the surviving components sorted by root; each is rooted at its unique
+    vertex without a surviving parent."""
     gone = set(remove)
     survivors: list[int] = []
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {}
-    for tree in component_trees(g):
-        for v in tree.vertices:
-            if v in gone:
-                continue
-            survivors.append(v)
-            children.setdefault(v, [])
-            p = tree.parent.get(v)
-            if p is not None and p not in gone:
-                parent[v] = p
-                children.setdefault(p, []).append(v)
+    for v in tree.vertices:
+        if v in gone:
+            continue
+        survivors.append(v)
+        children.setdefault(v, [])
+        p = tree.parent.get(v)
+        if p is not None and p not in gone:
+            parent[v] = p
+            children.setdefault(p, []).append(v)
 
     roots = sorted(v for v in survivors if v not in parent)
     comps = []
@@ -308,7 +308,7 @@ def delete_vertices_by_rebuild(g: TreeOrForest, remove: Iterable[int]) -> Forest
                 comp_edges.append((u, c))
                 stack.append(c)
         comps.append(RootedTree.from_edges(comp_edges, root=r))
-    return Forest(tuple(comps))
+    return tuple(comps)
 
 
 def ahu_nested_key(tree: RootedTree) -> tuple:
@@ -321,7 +321,7 @@ def ahu_nested_key(tree: RootedTree) -> tuple:
     return encode(tree.root)
 
 
-def pd_trace_by_rebuild(g: TreeOrForest, t: int) -> tuple[int, list[tuple]]:
+def pd_trace_by_rebuild(tree: RootedTree, t: int) -> tuple[int, list[tuple]]:
     """pd(R/I_t) by the paper's leaf splits, pd = max(pd(T - v),
     pd(T - Z) + c + 1), with its trace, as a recursive descent in which
     every piece is rebuilt by ``delete_vertices_by_rebuild`` and memoized
@@ -330,38 +330,35 @@ def pd_trace_by_rebuild(g: TreeOrForest, t: int) -> tuple[int, list[tuple]]:
     chain with the parent of its top, the children of its bottom and the
     other children of its second-lowest vertex; c = |Z| - t.  Components
     with a zero path ideal add 0, and one memo serves them all.  Each trace
-    step is (piece vertices, path, off path, removed), sorted like the
-    fields of ``pathideal.pd.RecursionStep``.  Raises ValueError, before
-    any split, when a component's facet complex is not properly-connected
-    (by ``properly_connected_by_scan``)."""
-    components = component_trees(g)
-    for tree in components:
-        facets = [chain_of(tree, v, t) for v in tree.vertices if tree.levels[v] >= t - 1]
-        if not properly_connected_by_scan(make_complex(facets, ambient=tree.vertices))[0]:
-            raise ValueError("facet complex is not properly-connected")
+    step is (piece vertices, path, off path) as the fields of
+    ``pathideal.pd.SplittingData``, with the vertex sets as frozensets.
+    Raises ValueError, before any split, when the tree's facet complex is
+    not properly-connected (by ``properly_connected_by_scan``)."""
+    facets = [chain_of(tree, v, t) for v in tree.vertices if tree.levels[v] >= t - 1]
+    if not properly_connected_by_scan(make_complex(facets, ambient=tree.vertices))[0]:
+        raise ValueError("facet complex is not properly-connected")
     memo: dict = {}
     trace: list[tuple] = []
 
-    def pd_of(tree: RootedTree) -> int:
-        key = ahu_nested_key(tree)
+    def pd_of(piece: RootedTree) -> int:
+        key = ahu_nested_key(piece)
         if key in memo:
             return memo[key]
-        deepest = max(tree.levels.values())
-        path = min(chain_of(tree, v, t) for v in tree.vertices if tree.levels[v] == deepest)
+        deepest = max(piece.levels.values())
+        path = min(chain_of(piece, v, t) for v in piece.vertices if piece.levels[v] == deepest)
         top, second_lowest, bottom = path[0], path[-2], path[-1]
-        off = set(tree.children[bottom]) | set(tree.children[second_lowest]) - {bottom}
-        if top != tree.root:
-            off.add(tree.parent[top])
-        removed = off | set(path)
-        trace.append((tree.vertices, path, tuple(sorted(off)), tuple(sorted(removed))))
+        off = set(piece.children[bottom]) | set(piece.children[second_lowest]) - {bottom}
+        if top != piece.root:
+            off.add(piece.parent[top])
+        trace.append((frozenset(piece.vertices), path, frozenset(off)))
         leaf, zone = (
-            sum(pd_of(c) for c in delete_vertices_by_rebuild(tree, gone).components if c.height() >= t - 1)
-            for gone in ({bottom}, removed)
+            sum(pd_of(c) for c in delete_vertices_by_rebuild(piece, gone) if c.height() >= t - 1)
+            for gone in ({bottom}, off | set(path))
         )
         memo[key] = max(leaf, zone + len(off) + 1)
         return memo[key]
 
-    value = sum(pd_of(tree) for tree in components if tree.height() >= t - 1)
+    value = pd_of(tree) if tree.height() >= t - 1 else 0
     return value, trace
 
 

@@ -12,10 +12,6 @@ from pathideal import (
     facet_complex,
     gf,
     good_partition_search,
-    ideal_equals,
-    ideal_intersect,
-    ideal_multiply,
-    ideal_sum,
     is_properly_connected,
     is_sequentially_cm,
     is_simplicial_forest,
@@ -29,6 +25,7 @@ from pathideal import (
     pd_recursive,
     splitting_data,
     verify_betti_splitting,
+    verify_intersection_lemma,
     verify_sv_conditions,
 )
 from pathideal.corpus import (
@@ -140,20 +137,7 @@ def test_criterion_06_betti_splitting_and_intersection_lemma():
                     assert verify_betti_splitting(J, K, field), (name, str(field))
                 splits += 1
             if is_properly_connected(facet_complex(ideal))[0]:
-                sd = splitting_data(tree, t)
-                amb = ideal.ambient
-                left = ideal_intersect(
-                    path_ideal(sd.minus_leaf, t).with_ambient(amb),
-                    make_ideal([sd.facet], ambient=amb),
-                )
-                right = ideal_multiply(
-                    sd.facet,
-                    ideal_sum(
-                        make_ideal([{y} for y in sd.off_path], ambient=amb),
-                        path_ideal(sd.minus_zone, t).with_ambient(amb),
-                    ),
-                ).with_ambient(amb)
-                assert ideal_equals(left, right), name
+                assert verify_intersection_lemma(ideal, splitting_data(tree, t)), name
                 identities += 1
         assert splits > 50 and identities > 50
     except AssertionError:

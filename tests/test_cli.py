@@ -319,6 +319,21 @@ class TestVerify:
         names = [l.split()[1] for l in lines]
         assert names == sorted(names)
 
+    def test_a_split_without_its_off_path_fails(self, monkeypatch, capsys):
+        """A leaf split whose off path is dropped breaks the intersection
+        lemma, and the battery must answer "no" with exit code 1."""
+        from pathideal import pd
+
+        real = pd._split
+
+        def no_off_path(tree, t, piece, chain=None):
+            path, off_path = real(tree, t, piece, chain)
+            return (path, set()) if chain is not None else (path, off_path)
+
+        monkeypatch.setattr(pd, "_split", no_off_path)
+        assert main(["verify", "--samples", "2", "--max-n", "7"]) == 1
+        assert "FAIL  intersection_lemma_identity" in capsys.readouterr().out
+
 
 class TestOptionsOnlyWhereRead:
     def test_check_simplicial_tree_rejects_unread_options(self, line8_file, capsys):

@@ -16,6 +16,7 @@ from pathideal import (
     pd_recursive,
     splitting_data,
     verify_betti_splitting,
+    verify_intersection_lemma,
     QQ,
     gf,
 )
@@ -23,11 +24,7 @@ from pathideal import pd
 from pathideal.corpus import corpus_trees, line, random_tree, reroot, twelve_vertex_tree
 from pathideal.pd import line_order
 from pathideal.simplicial import facet_complex, is_properly_connected
-from pathideal.trees import Forest, RootedTree, component_trees, delete_vertices, enumerate_paths
-
-
-def shifted(tree, by):
-    return RootedTree.from_edges(((u + by, v + by) for u, v in tree.edges()), root=tree.root + by)
+from pathideal.trees import RootedTree, enumerate_paths
 
 
 def relabelled(tree, rng):
@@ -103,16 +100,17 @@ class TestSplittingData:
     def test_line_generic(self):
         n, t = 9, 3
         sd = splitting_data(line(n), t)
+        assert sd.path == (n - 2, n - 1, n)
+        assert sd.facet == frozenset(sd.path)
         assert sd.off_path == frozenset({n - t})
         assert sd.removed == frozenset(range(n - t, n + 1))
-        assert sd.minus_leaf.components[0] == line(n - 1)
-        assert sd.minus_zone.components[0] == line(n - t - 1)
+        assert sd.vertices == frozenset(range(1, n + 1))
 
     def test_line_principal(self):
         sd = splitting_data(line(3), 3)
         assert sd.off_path == frozenset()
         assert sd.off_path_count == 0
-        assert sd.minus_zone.is_empty
+        assert sd.removed == frozenset({1, 2, 3})
 
     def test_twelve_vertex(self):
         # facets sharing two vertices with {4,9,12}: only {2,4,9}
@@ -125,6 +123,19 @@ class TestSplittingData:
         with pytest.raises(ValueError):
             splitting_data(line(8), 3, (1, 2, 3))
 
+    def test_the_leaf_is_the_lowest_vertex(self):
+        """A path given bottom-up splits at its lowest vertex, never at a
+        root with one child, and a chain whose lowest vertex has children
+        is refused in either order."""
+        tree = RootedTree.from_edges([(1, 2), (2, 3), (2, 4)])
+        sd = splitting_data(tree, 3, (3, 2, 1))
+        assert sd.path == (1, 2, 3)
+        assert sd.off_path == frozenset({4})
+        assert verify_intersection_lemma(path_ideal(tree, 3), sd)
+        for order in ((3, 2, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match="leaf"):
+                splitting_data(line(5), 3, order)
+
     def test_off_path_matches_the_scan_of_all_paths(self):
         """off_path is every vertex outside the split facet of every facet
         sharing t-1 vertices with it, for the path in either order."""
@@ -133,13 +144,14 @@ class TestSplittingData:
             for t in (2, 3, 4, 5):
                 facets = [frozenset(p) for p in enumerate_paths(tree, t)]
                 for p in enumerate_paths(tree, t):
+                    if tree.children[p[-1]]:
+                        continue
                     facet = frozenset(p)
                     expected = frozenset().union(
                         *(G - facet for G in facets if G != facet and len(G & facet) == t - 1)
                     )
                     for order in (p, p[::-1]):
-                        if tree.degree(order[-1]) == 1:
-                            assert splitting_data(tree, t, order).off_path == expected, (seed, t, order)
+                        assert splitting_data(tree, t, order).off_path == expected, (seed, t, order)
 
 
 class TestRecursion:
@@ -154,8 +166,10 @@ class TestRecursion:
                 assert pd_recursive(line(n), t) == pd_line_closed_form(n, t), (n, t)
 
     def test_not_properly_connected_raises(self):
+        trace = []
         with pytest.raises(NotProperlyConnectedError):
-            pd_recursive(twelve_vertex_tree(), 3)
+            pd_recursive(twelve_vertex_tree(), 3, trace=trace)
+        assert trace == []
 
     def test_edge_case_always_applies(self):
         tree = twelve_vertex_tree()
@@ -163,11 +177,14 @@ class TestRecursion:
 
     def test_forest_additivity(self):
         # two separated segments of the line: quotient pds add
-        forest = delete_vertices(line(9), {4})
+        pieces = delete_vertices_by_rebuild(line(9), {4})
         expected = pd_line_closed_form(3, 2) + pd_line_closed_form(5, 2)
-        assert pd_recursive(forest, 2) == expected
-        ideal = path_ideal(forest, 2)
-        assert pd_quotient_hochster(ideal) == expected
+        assert sum(pd_recursive(piece, 2) for piece in pieces) == expected
+        union = make_ideal(
+            [g for piece in pieces for g in path_ideal(piece, 2).gens],
+            ambient=[v for piece in pieces for v in piece.vertices],
+        )
+        assert pd_quotient_hochster(union) == expected
 
     def test_zero_ideal(self):
         assert pd_recursive(line(3), 4) == 0
@@ -184,29 +201,26 @@ class TestRecursion:
             sys.setrecursionlimit(limit)
 
     def test_isomorphic_components_split_once(self):
-        alone, trace = [], []
-        value = pd_recursive(line(5), 2, trace=alone)
-        assert pd_recursive(Forest((line(5), shifted(line(5), 100))), 2, trace=trace) == 2 * value
-        assert trace == alone
-
-    def test_non_isomorphic_components_share_the_memo(self):
-        other = shifted(random_tree(3, 6), 100)
-        trace = []
-        value = pd_recursive(Forest((line(7), other)), 2, trace=trace)
-        assert value == pd_recursive(line(7), 2) + pd_recursive(other, 2) == 7
-        # the trace of the recursive implementation: the second component
-        # stops splitting where its pieces are lines already memoized
-        assert [(s.path, s.tree_vertices) for s in trace] == [
-            ((6, 7), (1, 2, 3, 4, 5, 6, 7)),
-            ((5, 6), (1, 2, 3, 4, 5, 6)),
-            ((4, 5), (1, 2, 3, 4, 5)),
-            ((3, 4), (1, 2, 3, 4)),
-            ((2, 3), (1, 2, 3)),
-            ((1, 2), (1, 2)),
-            ((105, 103), (101, 102, 103, 104, 105, 106)),
-            ((105, 104), (101, 102, 104, 105, 106)),
-            ((102, 105), (101, 102, 105, 106)),
-        ]
+        """One memo serves every piece, so the trace splits no two pieces
+        of one rooted shape: isomorphic components of the cuts, here the
+        two arms of the root, are split once."""
+        arms = [(1, 2), (1, 102)] + [(i, i + 1) for i in (*range(2, 6), *range(102, 106))]
+        trees = [RootedTree.from_edges(arms)] + [tree for _, tree in corpus_trees()]
+        splits = 0
+        for tree in trees:
+            for t in (2, 3, 4):
+                trace = []
+                try:
+                    pd_recursive(tree, t, trace=trace)
+                except NotProperlyConnectedError:
+                    continue
+                shapes = []
+                for step in trace:
+                    (piece,) = delete_vertices_by_rebuild(tree, set(tree.vertices) - step.vertices)
+                    shapes.append(ahu_nested_key(piece))
+                assert len(set(shapes)) == len(shapes), (tree.vertices, t)
+                splits += len(trace)
+        assert splits > 400
 
     def test_trace_records_steps(self):
         trace = []
@@ -223,17 +237,10 @@ class TestRecursion:
         monkeypatch.setattr(pd, "is_properly_connected", counting)
         assert pd_recursive(line(30), 3) == pd_line_closed_form(30, 3)
         assert len(calls) == 1
-        calls.clear()
-        pd_recursive(delete_vertices(line(20), {7}), 3)
-        assert len(calls) == 2
 
-    def test_pieces_are_cut_without_building_forests(self, monkeypatch):
-        """The recursion cuts its pieces as id maps over the input tree, so
-        it answers with ``delete_vertices`` out of reach."""
-
-        def refuse(g, remove):
-            raise AssertionError("the recursion built a forest")
-
+    def test_pieces_are_cut_without_building_forests(self):
+        """The recursion cuts its pieces as id maps over the input tree and
+        gives the values of the recursion over rebuilt pieces."""
         answered = 0
         expected = {}
         for name, tree in corpus_trees():
@@ -242,7 +249,6 @@ class TestRecursion:
                     expected[name, t] = pd_trace_by_rebuild(tree, t)[0]
                 except ValueError:
                     pass
-        monkeypatch.setattr(pd, "delete_vertices", refuse)
         for n in range(2, 40):
             for t in (2, 3, 4):
                 assert pd_recursive(line(n), t) == pd_line_closed_form(n, t)
@@ -253,13 +259,6 @@ class TestRecursion:
                     answered += 1
         assert answered > 60
 
-    def test_forest_fails_before_any_split(self):
-        forest = Forest((line(6), shifted(twelve_vertex_tree(), 100)))
-        trace = []
-        with pytest.raises(NotProperlyConnectedError):
-            pd_recursive(forest, 3, trace=trace)
-        assert trace == []
-
 
 class TestRecursionOracle:
     """Values and split traces equal the recursion that rebuilds every
@@ -267,16 +266,16 @@ class TestRecursionOracle:
     inputs."""
 
     @staticmethod
-    def agrees(g, t):
+    def agrees(tree, t):
         try:
-            expected = pd_trace_by_rebuild(g, t)
+            expected = pd_trace_by_rebuild(tree, t)
         except ValueError:
             with pytest.raises(NotProperlyConnectedError):
-                pd_recursive(g, t)
+                pd_recursive(tree, t)
             return False
         trace = []
-        value = pd_recursive(g, t, trace=trace)
-        assert (value, [dataclasses.astuple(step) for step in trace]) == expected, (g.vertices, t)
+        value = pd_recursive(tree, t, trace=trace)
+        assert (value, [(s.vertices, s.path, s.off_path) for s in trace]) == expected, (tree.vertices, t)
         return True
 
     def test_lines(self):
@@ -295,16 +294,17 @@ class TestRecursionOracle:
         assert checked > 60 and refused > 20
 
     def test_forests(self):
-        """Random and rerooted trees less one to three vertices."""
+        """Each component of random and rerooted trees less one to three
+        vertices."""
         rng = random.Random(29)
         checked = forests = 0
         for seed in range(150):
             tree = random_tree(seed, rng.randint(4, 30))
             g = reroot(tree, rng.choice(tree.vertices)) if seed % 2 else tree
-            g = delete_vertices_by_rebuild(g, rng.sample(g.vertices, rng.randint(1, 3)))
-            forests += len(g.components) > 1
+            pieces = delete_vertices_by_rebuild(g, rng.sample(g.vertices, rng.randint(1, 3)))
+            forests += len(pieces) > 1
             for t in (2, 3, 4):
-                checked += self.agrees(g, t)
+                checked += sum(self.agrees(piece, t) for piece in pieces)
         assert forests > 80 and checked > 150
 
     def test_the_benchmark_bushy_shapes(self):
@@ -345,7 +345,7 @@ class TestShapeIds:
             nonlocal pieces
             out = real(tree, root, ids, removed, t, memo)
             gone = (set(tree.vertices) - ids.keys()) | removed
-            rebuilt = delete_vertices_by_rebuild(tree, gone).components
+            rebuilt = delete_vertices_by_rebuild(tree, gone)
             rebuilt = [c for c in rebuilt if c.root in ids and c.height() >= t - 1]
             assert [r for r, _ in out] == [c.root for c in rebuilt]
             for (_, sub), c in zip(out, rebuilt):
@@ -380,10 +380,50 @@ class TestInheritance:
                     continue
                 for mask in range((1 << len(vertices)) - 1):
                     removed = {v for i, v in enumerate(vertices) if mask >> i & 1}
-                    for piece in component_trees(delete_vertices(tree, removed)):
+                    for piece in delete_vertices_by_rebuild(tree, removed):
                         assert properly_connected(piece, t), (seed, t, sorted(removed))
                         checked += 1
         assert checked > 60_000
+
+
+class TestIntersectionLemma:
+    @staticmethod
+    def pairs():
+        """Every corpus tree and ``random_tree(s, 3 + s % 14)``, s < 300, at
+        t = 2..5, with its path ideal and default leaf split, where the
+        ideal is not zero."""
+        trees = [tree for _, tree in corpus_trees()] + [random_tree(s, 3 + s % 14) for s in range(300)]
+        for tree in trees:
+            for t in (2, 3, 4, 5):
+                ideal = path_ideal(tree, t)
+                if not ideal.is_zero:
+                    yield tree, t, ideal, splitting_data(tree, t)
+
+    def test_avoiding_generators_are_the_path_ideals_of_the_pieces(self):
+        """I_t(T - S) is read as the generators of I_t(T) that avoid S: for
+        S the leaf and the removed zone, they are the generators of the
+        path ideals of the components left by deleting S."""
+        checked = 0
+        for tree, t, ideal, sd in self.pairs():
+            for gone in ({sd.path[-1]}, sd.removed):
+                pieces = delete_vertices_by_rebuild(tree, gone)
+                expected = set().union(*(path_ideal(piece, t).gens for piece in pieces))
+                assert {g for g in ideal.gens if not g & gone} == expected, (tree.vertices, t, gone)
+            checked += 1
+        assert checked > 1000
+
+    def test_an_off_path_vertex_dropped_breaks_it(self):
+        """Negative control: with any one off-path vertex dropped, the
+        lemma no longer holds."""
+        dropped = 0
+        for tree, t, ideal, sd in self.pairs():
+            if is_properly_connected(facet_complex(ideal))[0]:
+                assert verify_intersection_lemma(ideal, sd), (tree.vertices, t)
+            for y in sd.off_path:
+                wrong = dataclasses.replace(sd, off_path=sd.off_path - {y})
+                assert not verify_intersection_lemma(ideal, wrong), (tree.vertices, t, y)
+                dropped += 1
+        assert dropped > 1000
 
 
 class TestBettiSplitting:
@@ -500,15 +540,9 @@ class TestPdAuto:
         with pytest.raises(RuntimeError, match=r"depends on the split choice: \(4, 8\)"):
             pd_auto(tree, 2, verify=True)
 
-    def test_verify_over_the_corpus_builds_no_forests(self, monkeypatch):
+    def test_verify_over_the_corpus_builds_no_forests(self):
         """``verify`` re-checks the split choice on the recursion's own
-        pieces, so it answers on every corpus pair with ``delete_vertices``
-        out of reach."""
-
-        def refuse(g, remove):
-            raise AssertionError("verify built a forest")
-
-        monkeypatch.setattr(pd, "delete_vertices", refuse)
+        pieces, and answers with the Hochster value on every corpus pair."""
         recursed = 0
         for name, tree in corpus_trees():
             for t in (2, 3, 4, 5):

@@ -13,7 +13,6 @@ from pathideal import (
     has_leaf_order,
     ideal_equals,
     ideal_intersect,
-    ideal_multiply,
     ideal_sum,
     is_leaf,
     is_properly_connected,
@@ -24,6 +23,7 @@ from pathideal import (
     pd_quotient_hochster,
     pd_recursive,
     splitting_data,
+    verify_intersection_lemma,
 )
 from pathideal.corpus import random_tree
 
@@ -162,20 +162,7 @@ def test_intersection_lemma_on_properly_connected_samples():
             ideal = path_ideal(tree, t)
             if ideal.is_zero or not is_properly_connected(facet_complex(ideal))[0]:
                 continue
-            sd = splitting_data(tree, t)
-            amb = ideal.ambient
-            left = ideal_intersect(
-                path_ideal(sd.minus_leaf, t).with_ambient(amb),
-                make_ideal([sd.facet], ambient=amb),
-            )
-            right = ideal_multiply(
-                sd.facet,
-                ideal_sum(
-                    make_ideal([{y} for y in sd.off_path], ambient=amb),
-                    path_ideal(sd.minus_zone, t).with_ambient(amb),
-                ),
-            ).with_ambient(amb)
-            assert ideal_equals(left, right)
+            assert verify_intersection_lemma(ideal, splitting_data(tree, t))
 
 
 def test_hochster_monotonicity_along_root_to_leaf_chains():

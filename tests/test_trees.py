@@ -1,17 +1,15 @@
-import copy
 import random
 
 import pytest
 
 from oracles import delete_vertices_by_rebuild
 from pathideal import (
-    Forest,
     TreeError,
-    delete_vertices,
     enumerate_paths,
     parse_tree,
     path_ideal,
 )
+from pathideal import pd
 from pathideal.corpus import line, random_tree, reroot, twelve_vertex_tree, twelve_vertex_tree_rerooted
 from pathideal.pd import splitting_data
 from pathideal.trees import RootedTree, format_tree, tree_from_json, tree_to_json
@@ -157,79 +155,81 @@ class TestPathIdeal:
         assert len(path_ideal(twelve_vertex_tree(), 3).gens) == 9
 
     def test_forest_union(self):
-        forest = delete_vertices(line(7), {4})
-        ideal = path_ideal(forest, 2)
-        assert len(ideal.gens) == 4
-        assert ideal.ambient == frozenset({1, 2, 3, 5, 6, 7})
+        """The paths of the forest left by deleting a vertex are the paths
+        of the tree that avoid it."""
+        pieces = delete_vertices_by_rebuild(line(7), {4})
+        gens = set().union(*(path_ideal(piece, 2).gens for piece in pieces))
+        assert len(gens) == 4
+        assert gens == {g for g in path_ideal(line(7), 2).gens if 4 not in g}
 
     def test_zero_ideal(self):
         assert path_ideal(line(3), 4).is_zero
 
 
 class TestDeleteVertices:
+    """Vertex deletion as the pd recursion does it: ``pd._cut`` takes a
+    piece of a tree, as its root and its vertices' shape ids, and returns
+    the components with an edge that deleting a vertex set leaves.  Each
+    must be the component that ``delete_vertices_by_rebuild`` rebuilds,
+    under the ids ``_shape_ids`` interns for it from scratch, and the
+    piece's ids must stay as they were, since the recursion cuts each piece
+    twice."""
+
+    @staticmethod
+    def cut(tree, gone, piece=None):
+        """The vertex sets ``pd._cut`` leaves of ``piece`` (default: all of
+        ``tree``) less ``gone``, checked against the rebuild."""
+        outside = set(tree.vertices) - set(piece or tree.vertices)
+        (whole,) = delete_vertices_by_rebuild(tree, outside)
+        memo: dict = {}
+        ids = pd._shape_ids(whole, memo)
+        before = dict(ids)
+        out = pd._cut(tree, whole.root, ids, set(gone), 2, memo)
+        assert ids == before
+        rebuilt = [c for c in delete_vertices_by_rebuild(tree, outside | set(gone)) if c.height() >= 1]
+        assert [r for r, _ in out] == [c.root for c in rebuilt]
+        for (_, sub), c in zip(out, rebuilt):
+            assert sub == pd._shape_ids(c, memo)
+        return [tuple(sorted(sub)) for _, sub in out]
+
     def test_delete_last(self):
-        forest = delete_vertices(line(8), {8})
-        assert len(forest.components) == 1
-        assert forest.components[0] == line(7)
+        assert self.cut(line(8), {8}) == [tuple(range(1, 8))]
 
     def test_delete_middle(self):
-        forest = delete_vertices(line(8), {4})
-        sizes = sorted(c.n for c in forest.components)
-        assert sizes == [3, 4]
-        roots = sorted(c.root for c in forest.components)
-        assert roots == [1, 5]
+        assert self.cut(line(8), {4}) == [(1, 2, 3), (5, 6, 7, 8)]
 
     def test_delete_zone(self):
         # removing the top t+1 vertices of the line leaves a shorter line
         n, t = 9, 3
-        forest = delete_vertices(line(n), set(range(n - t, n + 1)))
-        assert len(forest.components) == 1
-        assert forest.components[0] == line(n - t - 1)
+        assert self.cut(line(n), set(range(n - t, n + 1))) == [tuple(range(1, n - t))]
 
     def test_everything_deleted(self):
-        forest = delete_vertices(line(3), {1, 2, 3})
-        assert forest.is_empty
+        assert self.cut(line(3), {1, 2, 3}) == []
 
     def test_parent_relation_preserved(self):
+        """Each piece holds the tree parent of every vertex but its root."""
         tree = twelve_vertex_tree()
-        forest = delete_vertices(tree, {2})
-        for comp in forest.components:
-            for child, parent in comp.parent.items():
-                assert tree.parent[child] == parent
+        pieces = self.cut(tree, {2})
+        assert len(pieces) == 2
+        for piece in pieces:
+            assert sum(tree.parent.get(v) not in piece for v in piece) == 1
 
     def test_restriction_matches_the_rebuild(self):
-        """Every field of every component, and the component order, agree
-        with rebuilding each component through from_edges, on trees and on
-        multi-component forests."""
+        """Random vertex sets deleted from random and rerooted trees, and
+        from pieces of them left by an earlier deletion."""
         rng = random.Random(17)
-        forests = 0
+        pieces = 0
         for seed in range(400):
             tree = random_tree(seed, rng.randint(2, 16))
             g = reroot(tree, rng.choice(tree.vertices)) if seed % 2 else tree
+            piece = g.vertices
             if seed % 3 == 0:
-                g = delete_vertices_by_rebuild(g, rng.sample(g.vertices, rng.randint(1, min(3, g.n - 1))))
-                forests += len(g.components) > 1
+                rest = delete_vertices_by_rebuild(g, rng.sample(g.vertices, rng.randint(1, min(3, g.n - 1))))
+                piece = max(rest, key=lambda c: c.n).vertices
+                pieces += len(piece) < g.n
             for _ in range(3):
-                gone = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
-                assert delete_vertices(g, gone) == delete_vertices_by_rebuild(g, gone), (seed, gone)
-        assert forests > 50
-
-    @staticmethod
-    def patched_like_the_rebuild(g, gone):
-        """The result equals the rebuild's, and the input keeps every map
-        it had: a component either is an input tree, untouched, or shares
-        no map with one."""
-        before = copy.deepcopy(g)
-        forest = delete_vertices(g, gone)
-        assert forest == delete_vertices_by_rebuild(g, gone)
-        assert g == before
-        inputs = (g,) if isinstance(g, RootedTree) else g.components
-        for comp in forest.components:
-            for tree in inputs:
-                if comp is not tree:
-                    for name in ("parent", "children", "levels"):
-                        assert getattr(comp, name) is not getattr(tree, name), name
-        return forest
+                self.cut(g, rng.sample(piece, rng.randint(0, len(piece))), piece)
+        assert pieces > 100
 
     # root 1 with a side branch 10 -> 11, and the chain 2 -> 3 -> 4 -> 5 whose
     # vertices 2 and 3 carry subtrees at 20 and 30 and 4 a second leaf 6
@@ -238,49 +238,32 @@ class TestDeleteVertices:
     )
 
     def test_the_root(self):
-        forest = self.patched_like_the_rebuild(self.BRANCHED, {1})
-        assert [c.root for c in forest.components] == [2, 10]
-        assert forest.components[0].levels[5] == 3
+        assert self.cut(self.BRANCHED, {1}) == [(2, 3, 4, 5, 6, 20, 21, 22, 30, 31), (10, 11)]
 
     def test_a_root_with_one_child(self):
-        forest = self.patched_like_the_rebuild(line(6), {1})
-        assert forest.components[0] == RootedTree.from_edges([(i, i + 1) for i in range(2, 6)])
+        assert self.cut(line(6), {1}) == [(2, 3, 4, 5, 6)]
         tree = RootedTree.from_edges([(7, 1), (1, 2), (1, 3), (3, 4)])
-        assert [c.root for c in self.patched_like_the_rebuild(tree, {7}).components] == [1]
+        assert self.cut(tree, {7}) == [(1, 2, 3, 4)]
 
     def test_a_deepest_leaf(self):
-        forest = self.patched_like_the_rebuild(self.BRANCHED, {5})
-        assert forest.components[0].children[4] == (6,)
-        self.patched_like_the_rebuild(line(9), {9})
+        assert self.cut(self.BRANCHED, {5}) == [tuple(v for v in self.BRANCHED.vertices if v != 5)]
+        assert self.cut(line(9), {9}) == [tuple(range(1, 9))]
 
     def test_a_split_zone_that_cuts_off_several_subtrees(self):
         sd = splitting_data(self.BRANCHED, 3, (3, 4, 5))
         assert sd.removed == {2, 3, 4, 5, 6}
-        forest = self.patched_like_the_rebuild(self.BRANCHED, sd.removed)
-        assert [c.vertices for c in forest.components] == [(1, 10, 11), (20, 21, 22), (30, 31)]
-        assert forest.components[0].children[1] == (10,)
-        assert forest.components[1].levels == {20: 0, 21: 1, 22: 1}
-        assert sd.minus_zone == forest
-
-    def test_an_absent_vertex(self):
-        forest = self.patched_like_the_rebuild(self.BRANCHED, {999})
-        assert forest.components == (self.BRANCHED,)
-        self.patched_like_the_rebuild(self.BRANCHED, {5, 999})
+        assert self.cut(self.BRANCHED, sd.removed) == [(1, 10, 11), (20, 21, 22), (30, 31)]
 
     def test_every_vertex(self):
-        assert self.patched_like_the_rebuild(self.BRANCHED, self.BRANCHED.vertices).is_empty
-        assert self.patched_like_the_rebuild(line(1), {1}).is_empty
+        assert self.cut(self.BRANCHED, self.BRANCHED.vertices) == []
+        assert self.cut(line(1), {1}) == []
 
     def test_vertices_of_a_forest(self):
-        g = delete_vertices_by_rebuild(self.BRANCHED, {3})
-        forest = self.patched_like_the_rebuild(g, {2, 30, 5})
-        assert [c.root for c in forest.components] == [1, 4, 20, 31]
-        self.patched_like_the_rebuild(g, {4, 999})
-        self.patched_like_the_rebuild(g, g.vertices)
-
-    def test_forest_disjointness_enforced(self):
-        with pytest.raises(TreeError):
-            Forest((line(3), line(4)))
+        """Deletions from the pieces left by deleting 3."""
+        top = (1, 2, 10, 11, 20, 21, 22)
+        assert self.cut(self.BRANCHED, {2}, top) == [(1, 10, 11), (20, 21, 22)]
+        assert self.cut(self.BRANCHED, {5}, (4, 5, 6)) == [(4, 6)]
+        assert self.cut(self.BRANCHED, top, top) == []
 
 
 class TestSerialization:

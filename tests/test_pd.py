@@ -166,9 +166,19 @@ class TestRecursion:
                 assert pd_recursive(line(n), t) == pd_line_closed_form(n, t), (n, t)
 
     def test_not_properly_connected_raises(self):
+        with pytest.raises(NotProperlyConnectedError):
+            pd_recursive(twelve_vertex_tree(), 3)
+
+    def test_forest_fails_before_any_split(self):
+        """A line of six with the twelve-vertex tree hung below its end: the
+        line could be split first, but the whole tree is refused before
+        any split is taken."""
+        twelve = twelve_vertex_tree()
+        edges = [(i, i + 1) for i in range(1, 6)] + [(6, 100 + twelve.root)]
+        edges += [(u + 100, v + 100) for u, v in twelve.edges()]
         trace = []
         with pytest.raises(NotProperlyConnectedError):
-            pd_recursive(twelve_vertex_tree(), 3, trace=trace)
+            pd_recursive(RootedTree.from_edges(edges, root=1), 3, trace=trace)
         assert trace == []
 
     def test_edge_case_always_applies(self):

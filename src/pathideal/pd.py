@@ -94,21 +94,22 @@ def line_order(ideal: SquarefreeIdeal) -> tuple[int, list] | None:
 
 
 def _split(tree: RootedTree, t: int, piece, chain=None) -> tuple[tuple, set]:
-    """The leaf split rule on ``piece``, a container of vertices of
-    ``tree`` that holds the ancestors of each of its vertices up to its
-    root, as (chain, off path).  The chain is ``chain``, a parent chain of
-    t vertices read from the top, or by default the smallest of the chains
-    above the deepest vertices of the piece.  Its off path is the children
-    of its bottom, the other children of its second-lowest vertex and the
-    parent of its top, each only where it lies in the piece."""
+    """The leaf split rule on ``piece``, a pair (vertices, deepest level):
+    a container of vertices of ``tree`` that holds the ancestors of each of
+    its vertices up to its root, and the largest level among them.  Returns
+    (chain, off path).  The chain is ``chain``, a parent chain of t vertices
+    read from the top, or by default the smallest of the chains above the
+    deepest vertices of the piece.  Its off path is the children of its
+    bottom, the other children of its second-lowest vertex and the parent of
+    its top, each only where it lies in the piece."""
+    vertices, deepest = piece
     if chain is None:
         levels = tree.levels
-        deepest = max(map(levels.__getitem__, piece))
-        chain = min(chain_above(tree, v, t) for v in piece if levels[v] == deepest)
+        chain = min(chain_above(tree, v, t) for v in vertices if levels[v] == deepest)
     top, second_lowest, bottom = chain[0], chain[-2], chain[-1]
-    off_path = {c for c in tree.children[bottom] if c in piece}
-    off_path.update(c for c in tree.children[second_lowest] if c != bottom and c in piece)
-    if tree.parent.get(top) in piece:
+    off_path = {c for c in tree.children[bottom] if c in vertices}
+    off_path.update(c for c in tree.children[second_lowest] if c != bottom and c in vertices)
+    if tree.parent.get(top) in vertices:
         off_path.add(tree.parent[top])
     return chain, off_path
 
@@ -119,9 +120,10 @@ def leaf_generator(tree: RootedTree, t: int) -> tuple[int, ...]:
     always works since its level is at least t-1."""
     if t < 2:
         raise ValueError("paths need at least two vertices (t >= 2)")
-    if tree.height() < t - 1:
+    height = tree.height()
+    if height < t - 1:
         raise ValueError("the path ideal is zero; no generator to pick")
-    return _split(tree, t, tree.levels)[0]
+    return _split(tree, t, (tree.levels, height))[0]
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,21 @@ def splitting_data(tree: RootedTree, t: int, path: tuple | None = None) -> Split
         raise ValueError("the given path is not a generator")
     if tree.children[chain[-1]]:
         raise ValueError(f"splitting path must end at a leaf; its lowest vertex {chain[-1]} has children")
-    _, off_path = _split(tree, t, tree.levels, chain)
+    _, off_path = _split(tree, t, (tree.levels, tree.height()), chain)
     return SplittingData(chain, frozenset(off_path), frozenset(tree.vertices))
+
+
+# the memo key of the list of shape heights, indexed by shape id
+_HEIGHTS = "heights"
+
+
+def _new_shape(key: tuple, memo: dict) -> int:
+    """Intern ``key``, the sorted ids of a vertex's children, under the next
+    shape id, and record the shape's height."""
+    heights = memo[_HEIGHTS]
+    i = memo[key] = len(heights)
+    heights.append(1 + max(map(heights.__getitem__, key)) if key else 0)
+    return i
 
 
 def _shape_ids(tree: RootedTree, memo: dict) -> dict[int, int]:
@@ -185,53 +200,89 @@ def _shape_ids(tree: RootedTree, memo: dict) -> dict[int, int]:
     one pass up the levels interns each vertex's sorted tuple of child ids.
     Under one table, ids are equal iff the rooted shapes are isomorphic, so
     their path ideals differ only by relabeling.  The table is ``memo``
-    itself, under tuple keys, so the ids live exactly as long as the pd
-    values they key."""
+    itself, under tuple keys, with the heights of the shapes under
+    ``_HEIGHTS``, so the ids live exactly as long as the pd values they
+    key."""
+    memo.setdefault(_HEIGHTS, [])
     ids: dict[int, int] = {}
     for v in sorted(tree.vertices, key=tree.levels.__getitem__, reverse=True):
-        ids[v] = memo.setdefault(tuple(sorted(map(ids.__getitem__, tree.children[v]))), len(memo))
+        key = tuple(sorted(map(ids.__getitem__, tree.children[v])))
+        ids[v] = memo[key] if key in memo else _new_shape(key, memo)
     return ids
 
 
-def _cut(tree: RootedTree, root: int, ids: dict, removed, t: int, memo: dict) -> list[tuple[int, dict]]:
-    """The components with a nonzero path ideal of the piece of ``tree``
-    at ``root`` whose vertices map to their shape ids in ``ids``, less the
-    vertices in the set ``removed``, as (root, id map) pairs sorted by
-    root.
+def _walk(tree: RootedTree, ids: dict, leaf: int, high: int, memo: dict) -> tuple[list, int | None]:
+    """One walk from ``leaf`` up to the root of the piece whose vertices
+    map to their shape ids in ``ids``, re-interning each ancestor for the
+    piece less the leaf and, from the parent of ``high`` (an ancestor of
+    the leaf) up, also for the piece less the subtree at ``high``.  Returns
+    the (vertex, id) pairs of the first, bottom-up, and the root's id in
+    the second, None when ``high`` is the root.  The walks share each
+    ancestor's other children; a changed child is carried as a tuple of
+    its new id, or empty where it is deleted."""
+    parent, children = tree.parent, tree.children
+    get = memo.get
+    walk = []
+    append = walk.append
+    child, lpart, zpart = leaf, (), None
+    u = parent[leaf]
+    while u in ids:
+        kids = children[u]
+        if len(kids) == 1:  # every vertex on a line: no sort
+            lkey, zkey = lpart, zpart
+        else:
+            others = [ids[c] for c in kids if c != child and c in ids]
+            lkey = tuple(sorted([*others, *lpart]))
+            zkey = None if zpart is None else tuple(sorted([*others, *zpart]))
+        i = get(lkey)
+        if i is None:
+            i = _new_shape(lkey, memo)
+        lpart = (i,)
+        append((u, i))
+        if zkey is not None:
+            i = get(zkey)
+            if i is None:
+                i = _new_shape(zkey, memo)
+            zpart = (i,)
+        elif u == high:
+            zpart = ()
+        child = u
+        u = parent.get(u)
+    return walk, zpart[0] if zpart else None
 
-    Deleting vertices changes a subtree only at a surviving ancestor of a
-    removed vertex, so only those are re-interned, in one copy of ``ids``:
-    each removed vertex's walk up re-interns its ancestors bottom-up, from
-    their children left in the piece, and stops at a removed vertex or
-    above the piece's root.  A vertex two walks reach is re-interned last by a walk
-    that passed all of its changed children.  Every subtree hanging below a
-    removed vertex then leaves the copy as a component of its own, and what
-    stays is the component of the root."""
-    parent, children, levels = tree.parent, tree.children, tree.levels
-    rest = dict(ids)
-    for v in removed:
-        rest.pop(v, None)
-    for v in removed:
-        u = parent.get(v)
-        while u in rest:
-            kids = children[u]
-            if len(kids) == 1:  # every vertex on a line: no sort
-                key = (rest[kids[0]],) if kids[0] in rest else ()
-            else:
-                key = tuple(sorted([rest[c] for c in kids if c in rest]))
-            rest[u] = memo.setdefault(key, len(memo))
-            u = parent.get(u)
-    comps = [(c, {}) for v in removed for c in children[v] if c in rest]
-    for c, sub in comps:
-        stack = [c]
+
+def _build(tree: RootedTree, ids: dict, root: int, high: int, walk: list | None, memo: dict) -> dict:
+    """The id map of the piece at ``root`` cut from the piece ``ids`` at
+    ``high``: the subtree at ``root`` when ``high`` is its parent (a deleted
+    vertex, so the ids below it stand), else the piece less the subtree at
+    ``high``, whose ancestors take their ids from ``_walk``'s pairs ``walk``
+    when given (``high`` is then a leaf of the piece) or are re-interned by
+    walking up again.  ``ids`` is left as it was."""
+    children = tree.children
+    if tree.parent.get(root) == high:
+        sub = {}
+        stack = [root]
         while stack:
             u = stack.pop()
-            sub[u] = rest.pop(u)
-            stack.extend(w for w in children[u] if w in rest)
-    if root in rest:
-        comps.append((root, rest))
-    comps = [(r, sub) for r, sub in comps if max(map(levels.__getitem__, sub)) - levels[r] >= t - 1]
-    return sorted(comps, key=lambda comp: comp[0])
+            sub[u] = ids[u]
+            stack.extend(filter(ids.__contains__, children[u]))
+        return sub
+    rest = dict(ids)
+    if walk is not None:
+        del rest[high]
+        rest.update(walk)
+        return rest
+    stack = [high]
+    while stack:
+        u = stack.pop()
+        del rest[u]
+        stack.extend(filter(rest.__contains__, children[u]))
+    u = tree.parent.get(high)
+    while u in rest:
+        key = tuple(sorted([rest[c] for c in children[u] if c in rest]))
+        rest[u] = memo[key] if key in memo else _new_shape(key, memo)
+        u = tree.parent.get(u)
+    return rest
 
 
 def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, chain: tuple | None = None) -> int:
@@ -239,40 +290,72 @@ def _pd_tree(tree: RootedTree, t: int, memo: dict, trace: list | None, chain: tu
     splits in one loop over a stack of pieces; ``memo`` (one per t) maps
     shape ids to pd.  A piece is a root and a map from its vertices to
     their shape ids; it holds the ancestors of its vertices up to its root,
-    so children, parents and levels are read from ``tree``'s maps.  Only
-    ``tree`` gets its shape ids from scratch; ``_cut`` derives each
-    sub-piece's from its parent piece's.  A piece popped the first time is
-    split once by ``_split`` and pushed back, as its id and split alone,
-    under the components of the piece less the leaf, then less the removed
-    zone, so splits, trace steps (one SplittingData each) and memo hits come
-    in the pre-order of a recursive descent.  Popped again, its sub-pieces
-    are all memoized and its value is max(sum over the leaf's cut, sum
-    over the zone's cut + off_path_count + 1).
+    so children, parents and levels are read from ``tree``'s maps, and its
+    deepest level is its root's level plus the height ``memo`` records for
+    its root's shape.  Only ``tree`` gets its shape ids from scratch.
+
+    A piece popped the first time is split once by ``_split`` and pushed
+    back, as its id and split alone, under its sub-pieces: the piece less
+    the leaf, then the components of the piece less the removed zone Z
+    (sorted by root), each only where its height is at least t-1.  One
+    ``_walk`` from the leaf gives the keys of the piece less the leaf and
+    of the zone's root component, the piece less the subtree at the highest
+    vertex of Z (the parent p of the path's top, or the top); every other
+    component hangs below a vertex of Z, so its key is its root's id.  A
+    sub-piece waits on the stack as its key, its root and its parent's map,
+    and ``_build`` makes its own map only when it is popped and its key is
+    not memoized, so each split after the first builds one map.  The piece
+    less the leaf, popped next, keeps the walk's ids; the zone's root
+    component walks up again on a miss: on a line it waits, a memo hit,
+    under the whole descent, and a variant that kept its ids there peaked
+    at 495 MiB on line(3000) at t=3, against 185 MiB.  Splits,
+    trace steps (one SplittingData each) and memo hits come in the
+    pre-order of a recursive descent.  Popped again, a piece's sub-pieces
+    are all memoized and its value is max(sum over the leaf's cut, sum over
+    the zone's cut + off_path_count + 1).
 
     A prescribed ``chain``, a generator read from the top that ends at a
     leaf, is the first split.  The root's value then depends on that
     choice, so it is filed under a fresh key and dropped at the end: a
     value under the root's shape id would answer later calls that
     prescribe another chain."""
+    parent, children, levels = tree.parent, tree.children, tree.levels
     ids = _shape_ids(tree, memo)
+    heights = memo[_HEIGHTS]
     root_key = ids[tree.root] if chain is None else object()
-    stack: list = [(root_key, tree.root, ids, None)]
+    # a piece waits as (key, root, map, high, walk): the map is its own when
+    # high is None, else its parent's, to build from with ``_build``; a split
+    # piece comes back as (key, None, zone keys, leaf key, off-path count),
+    # flat, since one waits per level of the descent
+    stack: list = [(root_key, tree.root, ids, None, None)]
     while stack:
-        key, root, ids, split = stack.pop()
+        key, root, ids, high, walk = stack.pop()
         if key in memo:
             continue
-        if split is not None:
-            leaf, zone, count = split
-            memo[key] = max(sum(memo[k] for k in leaf), sum(memo[k] for k in zone) + count + 1)
+        if root is None:
+            zone, leaf, count = ids, high, walk  # leaf is None where its piece has a zero ideal
+            memo[key] = max(memo.get(leaf, 0), sum(memo[k] for k in zone) + count + 1)
             continue
-        path, off_path = _split(tree, t, ids, chain if key is root_key else None)
+        if high is not None:
+            ids = _build(tree, ids, root, high, walk, memo)
+        deepest = levels[root] + heights[ids[root]]
+        path, off_path = _split(tree, t, (ids, deepest), chain if key is root_key else None)
         removed = off_path.union(path)
         if trace is not None:
             trace.append(SplittingData(path, frozenset(off_path), frozenset(ids)))
-        leaf = _cut(tree, root, ids, {path[-1]}, t, memo)
-        zone = _cut(tree, root, ids, removed, t, memo)
-        stack.append((key, None, None, ([sub[r] for r, sub in leaf], [sub[r] for r, sub in zone], len(off_path))))
-        stack.extend((sub[r], r, sub, None) for r, sub in reversed(leaf + zone))
+        top, bottom = path[0], path[-1]
+        high = parent[top] if parent.get(top) in removed else top
+        walk, zone_key = _walk(tree, ids, bottom, high, memo)
+        leaf_key = walk[-1][1]
+        # the zone's components as (root, key, cut vertex), sorted by root
+        zone = [(root, zone_key, high)] if zone_key is not None else []
+        zone += [(c, ids[c], v) for v in removed for c in children[v] if c in ids and c not in removed]
+        zone = sorted(comp for comp in zone if heights[comp[1]] >= t - 1)
+        leaf = leaf_key if heights[leaf_key] >= t - 1 else None
+        stack.append((key, None, [k for _, k, _ in zone], leaf, len(off_path)))
+        stack.extend((k, c, ids, v, None) for c, k, v in reversed(zone))
+        if leaf is not None:
+            stack.append((leaf, root, ids, bottom, walk))
     return memo[root_key] if chain is None else memo.pop(root_key)
 
 
@@ -292,19 +375,28 @@ def pd_recursive(tree: RootedTree, t: int, trace: list | None = None) -> int:
     inheritance.
 
     The splits run in ``_pd_tree``'s loop, without Python recursion, and
-    one memo serves every piece.  Bushy trees split far more often than
-    lines: on ``random_tree(7, n)`` at t=2 the trace has 1,982 splits for
-    n = 100, 20,252 for n = 200 and 598,698 for n = 400 (0.1-0.2 s,
-    1.5-3.5 s and 51-68 s in-process, Python 3.11, shared 2-CPU host); the
-    count grows more than tenfold per doubling of n, so n = 3000 is out of
-    reach.  Untried: R/I_t of a tree is sequentially Cohen-Macaulay, so
-    pd equals the big height (the largest minimal vertex cover of the
-    generators), which a dynamic program over the tree could compute, as
-    ``edge_pd_forest`` in ``bench/checks.py`` does for t=2."""
-    ok, pair = is_properly_connected(facet_complex(path_ideal(tree, t)))
+    one memo serves every piece.  Each split walks once from its leaf to
+    its piece's root, so a line of n vertices costs O(n^2): line(3000) at
+    t=3 takes 1.8-3.2 s and peaks at 185 MiB in a fresh process (Python
+    3.11, shared 2-CPU host).  Bushy trees split far more often than lines:
+    on ``random_tree(7, n)`` at t=2 the trace has 1,982 splits for n = 100,
+    20,252 for n = 200 and 598,698 for n = 400 (0.06 s, 1.3 s and, timed
+    before the one-walk split, 51-77 s in-process); the count grows more
+    than tenfold per doubling of n, so n = 3000 is out of reach.  Untried:
+    R/I_t of a tree is sequentially Cohen-Macaulay, so pd equals the big
+    height (the largest minimal vertex cover of the generators), which a
+    dynamic program over the tree could compute, as ``edge_pd_forest`` in
+    ``bench/checks.py`` does for t=2."""
+    _check_properly_connected(path_ideal(tree, t))
+    return _pd_tree(tree, t, {}, trace) if tree.height() >= t - 1 else 0
+
+
+def _check_properly_connected(ideal: SquarefreeIdeal) -> None:
+    """The recursion's precondition on ``ideal`` = I_t(tree), which the
+    caller builds and may hold; pd_recursive drops it before any split."""
+    ok, pair = is_properly_connected(facet_complex(ideal))
     if not ok:
         raise NotProperlyConnectedError(pair)
-    return _pd_tree(tree, t, {}, trace) if tree.height() >= t - 1 else 0
 
 
 def pd_quotient_hochster(
@@ -401,7 +493,8 @@ def pd_auto(
                 raise ValueError("closed form applies only to a single line graph")
             return pd_line_closed_form(len(line[1]), t)
         if name == "recursion":
-            return pd_recursive(tree, t, trace=trace)
+            _check_properly_connected(ideal)
+            return _pd_tree(tree, t, {}, trace)  # the ideal is not zero here
         return pd_quotient_hochster(ideal, field, max_n)
 
     routes = [name for name in METHODS if line is not None or name != "closed-form"]

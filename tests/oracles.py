@@ -10,7 +10,8 @@ every facet at every step, vertex deletion from a rebuild of each
 component's edge list through ``RootedTree.from_edges``, rooted shapes
 from the recursive nested-tuple AHU encoding, the leaf-split recursion
 for pd from a recursive descent over rebuilt pieces keyed by that
-encoding, sequential
+encoding, the pd of a tree's edge ideal from its largest minimal vertex
+cover by a dynamic program over the tree, sequential
 Cohen-Macaulayness from Reisner's test on every pure skeleton at every
 face (through ``is_cohen_macaulay``, which test_homology checks against
 Reisner's definition), the links a sequential-CM sweep reads homology
@@ -360,6 +361,26 @@ def pd_trace_by_rebuild(tree: RootedTree, t: int) -> tuple[int, list[tuple]]:
 
     value = pd_of(tree) if tree.height() >= t - 1 else 0
     return value, trace
+
+
+def edge_ideal_bight(tree: RootedTree) -> int:
+    """The largest minimal vertex cover of the edges of ``tree``, which is
+    pd(R/I_2) since the quotient is sequentially Cohen-Macaulay.  A cover
+    C is minimal iff each vertex of C has a neighbour outside C.  Up the
+    levels, each vertex v gets the largest count of C-vertices in its
+    subtree in three cases: v outside C (its children then all in C, with
+    v as their neighbour outside), v in C below a parent outside C, and v
+    in C with its parent in C or absent, when a child must lie outside C."""
+    out: dict = {}
+    freed: dict = {}
+    bound: dict = {}
+    for v in sorted(tree.vertices, key=tree.levels.__getitem__, reverse=True):
+        kids = tree.children[v]
+        out[v] = sum(freed[c] for c in kids)
+        best = sum(max(out[c], bound[c]) for c in kids)
+        freed[v] = 1 + best
+        bound[v] = 1 + best + max((out[c] - max(out[c], bound[c]) for c in kids), default=-math.inf)
+    return max(out[tree.root], bound[tree.root])
 
 
 def chain_of(tree: RootedTree, end: int, t: int) -> tuple:

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import edge_ideal_bight
 from pathideal import homology
 from pathideal.cli import main
 from pathideal.corpus import line, projective_plane_ideal, random_tree, twelve_vertex_tree
 from pathideal.homology import char_independence_report, gf
+from pathideal.pd import pd_line_closed_form, pd_quotient_hochster
 from pathideal.ara import partition_from_jsonable, verify_sv_conditions
 from pathideal.trees import RootedTree, format_tree, path_ideal
 
@@ -135,6 +137,32 @@ class TestBettiPd:
     def test_pd_explicit_method(self, line8_file, capsys):
         assert main(["pd", line8_file, "-t", "3", "--method", "closed-form"]) == 0
         assert "pd_quotient: 4" in capsys.readouterr().out
+
+
+class TestScale:
+    """``pd --method recursion --format json`` on large inputs, in-process:
+    each must exit 0 with the closed form or the oracle's value."""
+
+    @pytest.mark.parametrize(
+        "tree, t, expected",
+        [
+            (line(1000), 3, pd_line_closed_form(1000, 3)),
+            (line(1000), 5, pd_line_closed_form(1000, 5)),
+            (random_tree(7, 200), 2, edge_ideal_bight(random_tree(7, 200))),
+        ],
+        ids=["L1000-t3", "L1000-t5", "R7_200-t2"],
+    )
+    def test_pd_recursion(self, tree, t, expected, tmp_path, capsys):
+        path = tmp_path / "big.tree"
+        path.write_text(format_tree(tree))
+        assert main(["pd", str(path), "-t", str(t), "--method", "recursion", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pd_quotient"] == expected
+
+    def test_the_oracle_is_hochster_s_pd(self):
+        """The t=2 oracle equals the Hochster route on small random trees."""
+        for seed in range(60):
+            tree = random_tree(seed, 2 + seed % 11)
+            assert edge_ideal_bight(tree) == pd_quotient_hochster(path_ideal(tree, 2)), seed
 
 
 class TestPdGolden:

@@ -232,6 +232,27 @@ class TestRecursion:
                 splits += len(trace)
         assert splits > 400
 
+    def test_a_map_is_built_only_for_a_piece_that_is_split(self, monkeypatch):
+        """Sub-pieces wait on the stack unbuilt, and a memo hit builds
+        nothing, so every split but the first builds exactly one id map:
+        on lines, where each piece less its zone is a hit, and on the
+        benchmark's bushy shapes."""
+        real = pd._build
+        built = 0
+
+        def counting(*args):
+            nonlocal built
+            built += 1
+            return real(*args)
+
+        monkeypatch.setattr(pd, "_build", counting)
+        shapes = [(line(n), t) for n in range(2, 70) for t in (2, 3, 4, 5) if n >= t]
+        shapes += [(random_tree(s, n), 2) for s, n in ((4000, 40), (5002, 50), (6001, 60))]
+        for tree, t in shapes:
+            built, trace = 0, []
+            pd_recursive(tree, t, trace=trace)
+            assert built == len(trace) - 1, (tree.n, t)
+
     def test_trace_records_steps(self):
         trace = []
         pd_recursive(line(6), 2, trace=trace)
@@ -344,32 +365,99 @@ class TestShapeIds:
                 assert (ids[i] == ids[j]) == (codes[i] == codes[j]), (i, j)
         assert len(set(codes)) < len(trees) // 2
 
-    def test_every_piece_gets_its_from_scratch_id(self, monkeypatch):
-        """Each piece ``_cut`` returns maps exactly the vertices of the same
-        piece rebuilt by ``delete_vertices_by_rebuild``, each to the id that
-        ``_shape_ids`` interns from scratch in the same table."""
-        real = pd._cut
-        pieces = 0
+    @staticmethod
+    def rebuilt(tree, ids, gone, root):
+        """The piece at ``root`` of the piece ``ids`` less ``gone``, rebuilt
+        by ``delete_vertices_by_rebuild``."""
+        outside = set(tree.vertices) - ids.keys()
+        (piece,) = [c for c in delete_vertices_by_rebuild(tree, outside | set(gone)) if c.root == root]
+        return piece
 
-        def checked(tree, root, ids, removed, t, memo):
-            nonlocal pieces
-            out = real(tree, root, ids, removed, t, memo)
-            gone = (set(tree.vertices) - ids.keys()) | removed
-            rebuilt = delete_vertices_by_rebuild(tree, gone)
-            rebuilt = [c for c in rebuilt if c.root in ids and c.height() >= t - 1]
-            assert [r for r, _ in out] == [c.root for c in rebuilt]
-            for (_, sub), c in zip(out, rebuilt):
-                assert sub == pd._shape_ids(c, memo)
-                pieces += 1
-            return out
+    @staticmethod
+    def subtree(tree, ids, v):
+        """The vertices of the piece ``ids`` at or below ``v``."""
+        below, stack = set(), [v]
+        while stack:
+            u = stack.pop()
+            below.add(u)
+            stack.extend(c for c in tree.children[u] if c in ids)
+        return below
 
-        monkeypatch.setattr(pd, "_cut", checked)
-        trees = [line(n) for n in range(2, 41)] + list(relabelled_trees(40, 2300))
+    def checked_cuts(self, monkeypatch, check, count=40):
+        """Run the recursion on lines and ``count`` relabelled random trees with
+        ``_walk`` and ``_build`` wrapped.  Each piece they cut from a piece
+        ``ids`` is rebuilt by ``delete_vertices_by_rebuild`` and handed to
+        ``check(piece, got, memo)`` with ``got``, the ids they gave its
+        vertices: the leaf's ancestors and the zone's root for ``_walk``,
+        every vertex for ``_build``.  Neither may touch ``ids``.  Returns
+        the number of pieces checked."""
+        real_walk, real_build = pd._walk, pd._build
+        seen = 0
+
+        def walk(tree, ids, leaf, high, memo):
+            nonlocal seen
+            before = dict(ids)
+            pairs, zone_key = real_walk(tree, ids, leaf, high, memo)
+            assert ids == before
+            up = [tree.parent[leaf]]
+            while tree.parent.get(up[-1]) in ids:
+                up.append(tree.parent[up[-1]])
+            assert [u for u, _ in pairs] == up
+            root = up[-1]
+            check(self.rebuilt(tree, ids, {leaf}, root), dict(pairs), memo)
+            assert (zone_key is None) == (high == root)
+            if zone_key is not None:
+                check(self.rebuilt(tree, ids, self.subtree(tree, ids, high), root), {root: zone_key}, memo)
+            seen += 1 + (zone_key is not None)
+            return pairs, zone_key
+
+        def build(tree, ids, root, high, pairs, memo):
+            nonlocal seen
+            before = dict(ids)
+            sub = real_build(tree, ids, root, high, pairs, memo)
+            assert ids == before
+            gone = {high} if tree.parent.get(root) == high else self.subtree(tree, ids, high)
+            piece = self.rebuilt(tree, ids, gone, root)
+            assert sub.keys() == set(piece.vertices)
+            check(piece, sub, memo)
+            seen += 1
+            return sub
+
+        monkeypatch.setattr(pd, "_walk", walk)
+        monkeypatch.setattr(pd, "_build", build)
+        trees = [line(n) for n in range(2, 41)] + list(relabelled_trees(count, 2300))
         for tree in trees:
             for t in (2, 3, 4):
                 if tree.height() >= t - 1:
                     pd._pd_tree(tree, t, {}, None)
-        assert pieces > 5000
+        return seen
+
+    def test_every_piece_gets_its_from_scratch_id(self, monkeypatch):
+        """Each piece cut in the recursion, by ``_walk`` as the ids of the
+        ancestors of the leaf and the key of the zone's root component, and
+        by ``_build`` as an id map, has the ids that ``_shape_ids`` interns
+        from scratch in the same table for the same piece rebuilt by
+        ``delete_vertices_by_rebuild``."""
+
+        def check(piece, got, memo):
+            want = pd._shape_ids(piece, memo)
+            assert got == {u: want[u] for u in got}
+
+        assert self.checked_cuts(monkeypatch, check) > 5000
+
+    def test_every_interned_height_is_the_rebuilt_height(self, monkeypatch):
+        """The height recorded with each shape id of a piece cut in the
+        recursion is the height of that vertex's subtree in the rebuilt
+        piece."""
+
+        def check(piece, got, memo):
+            height = {}
+            for v in sorted(piece.vertices, key=piece.levels.__getitem__, reverse=True):
+                height[v] = max((height[c] + 1 for c in piece.children[v]), default=0)
+            heights = memo[pd._HEIGHTS]
+            assert {u: heights[i] for u, i in got.items()} == {u: height[u] for u in got}
+
+        assert self.checked_cuts(monkeypatch, check, count=10) > 5000
 
 
 class TestInheritance:
@@ -560,6 +648,24 @@ class TestPdAuto:
                 assert report.value == pd_quotient_hochster(path_ideal(tree, t)), (name, t)
                 recursed += "recursion" in report.values
         assert recursed > 100
+
+    def test_the_path_ideal_is_built_once(self, monkeypatch):
+        """The recursion's precondition check reads the ideal ``pd_auto``
+        already built."""
+        tree = random_tree(3, 12)
+        expected = pd_recursive(tree, 2)
+        calls = []
+        real = pd.path_ideal
+
+        def counting(tree, t):
+            calls.append(t)
+            return real(tree, t)
+
+        monkeypatch.setattr(pd, "path_ideal", counting)
+        for method in ("recursion", "auto"):
+            calls.clear()
+            report = pd_auto(tree, 2, method=method)
+            assert (report.method, report.value, calls) == ("recursion", expected, [2])
 
     def test_line_order_only_where_the_closed_form_can_run(self, monkeypatch):
         calls = []

@@ -167,29 +167,39 @@ class TestPathIdeal:
 
 
 class TestDeleteVertices:
-    """Vertex deletion as the pd recursion does it: ``pd._cut`` takes a
-    piece of a tree, as its root and its vertices' shape ids, and returns
-    the components with an edge that deleting a vertex set leaves.  Each
-    must be the component that ``delete_vertices_by_rebuild`` rebuilds,
-    under the ids ``_shape_ids`` interns for it from scratch, and the
-    piece's ids must stay as they were, since the recursion cuts each piece
-    twice."""
+    """Vertex deletion as the pd recursion does it: ``pd._build`` cuts a
+    piece of a tree, given as its root and its vertices' shape ids, at a
+    vertex v, either into the subtree at a child of v or into the piece
+    less the subtree at v.  Deleting a vertex set is those cuts made at its
+    vertices from the top down.  Each component with an edge that is left
+    must be the one ``delete_vertices_by_rebuild`` rebuilds, under the ids
+    ``_shape_ids`` interns for it from scratch and with the heights of its
+    shapes, and each piece's ids must stay as they were, since the
+    recursion cuts a piece several times."""
 
     @staticmethod
     def cut(tree, gone, piece=None):
-        """The vertex sets ``pd._cut`` leaves of ``piece`` (default: all of
-        ``tree``) less ``gone``, checked against the rebuild."""
+        """The vertex sets that cutting ``piece`` (default: all of ``tree``)
+        at the vertices of ``gone`` leaves, checked against the rebuild."""
         outside = set(tree.vertices) - set(piece or tree.vertices)
         (whole,) = delete_vertices_by_rebuild(tree, outside)
         memo: dict = {}
-        ids = pd._shape_ids(whole, memo)
-        before = dict(ids)
-        out = pd._cut(tree, whole.root, ids, set(gone), 2, memo)
-        assert ids == before
+        pieces = {whole.root: pd._shape_ids(whole, memo)}
+        for v in sorted(gone, key=tree.levels.__getitem__):
+            (root,) = [r for r, ids in pieces.items() if v in ids]
+            ids = pieces.pop(root)
+            before = dict(ids)
+            pieces.update((c, pd._build(tree, ids, c, v, None, memo)) for c in tree.children[v] if c in ids)
+            if root != v:
+                pieces[root] = pd._build(tree, ids, root, v, None, memo)
+            assert ids == before
+        heights = memo[pd._HEIGHTS]
+        out = sorted((r, sub) for r, sub in pieces.items() if heights[sub[r]] >= 1)
         rebuilt = [c for c in delete_vertices_by_rebuild(tree, outside | set(gone)) if c.height() >= 1]
         assert [r for r, _ in out] == [c.root for c in rebuilt]
         for (_, sub), c in zip(out, rebuilt):
             assert sub == pd._shape_ids(c, memo)
+            assert heights[sub[c.root]] == c.height()
         return [tuple(sorted(sub)) for _, sub in out]
 
     def test_delete_last(self):
